@@ -8,6 +8,7 @@
 // execute the two slots.
 #include "bench_common.h"
 #include "pops/network.h"
+#include "routing/engine.h"
 #include "routing/fair_distribution.h"
 #include "routing/list_system.h"
 #include "support/format.h"
@@ -23,13 +24,15 @@ void print_tables() {
   std::cout << "Permutation: processor i -> " << "[5 1 7 2 0 6 3 8 4][i]"
             << "  (cycles " << pi.to_string() << ")\n\n";
 
-  const RoutePlan plan = route_permutation(topo, pi);
+  RoutingEngine engine(topo);
+  const FlatSchedule& schedule = engine.route_permutation(pi);
+  const Span<const int> intermediate_of = engine.intermediate_of();
 
   Table table({"processor", "packet dest 'xy'", "intermediate processor",
                "intermediate group"});
   for (int src = 0; src < topo.processor_count(); ++src) {
     const int dest = pi(src);
-    const int mid = plan.intermediate_of[as_size(src)];
+    const int mid = intermediate_of[as_size(src)];
     table.add(src,
               str_cat(topo.group_of(dest), dest),  // the figure's xy label
               mid, topo.group_of(mid));
@@ -41,11 +44,12 @@ void print_tables() {
   // destination groups are distinct.
   const ListSystem ls = list_system_from_permutation(topo, pi);
   std::cout << "\nfair distribution valid: "
-            << (is_fair_distribution(ls, plan.fair) ? "yes" : "NO") << '\n';
+            << (is_fair_distribution(ls, intermediate_of) ? "yes" : "NO")
+            << '\n';
 
   Network net(topo);
   net.load_permutation_traffic(pi);
-  net.execute(plan.slots);
+  net.execute(schedule);
   std::cout << "two-slot schedule delivers: "
             << (net.all_delivered() ? "yes" : "NO") << "\n\n";
 }
@@ -53,8 +57,9 @@ void print_tables() {
 void BM_Figure3Route(benchmark::State& state) {
   const Topology topo(3, 3);
   const Permutation pi({5, 1, 7, 2, 0, 6, 3, 8, 4});
+  RoutingEngine engine(topo);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(route_permutation(topo, pi));
+    benchmark::DoNotOptimize(engine.route_permutation(pi));
   }
 }
 BENCHMARK(BM_Figure3Route);

@@ -37,7 +37,7 @@ void print_tables() {
       const std::string failure = verify_h_relation(topo, requests, plan);
       POPS_CHECK(failure.empty(), "h-relation failed: " + failure);
       table.add(topo.to_string(), h, requests.size(),
-                as_int(plan.phases.size()), plan.total_slots(),
+                plan.h, plan.total_slots(),
                 plan.h * theorem2_slots(topo), "yes");
     }
   }

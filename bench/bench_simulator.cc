@@ -83,30 +83,6 @@ void print_tables() {
   print_pattern_table();
 }
 
-// Deliberately benchmarks the deprecated nested execute path: the
-// BM_ExecuteSchedule-vs-BM_ExecuteFlatSchedule pair is the measured
-// cost of the nested layout, which is why the flat layout is the
-// canonical one.
-void BM_ExecuteSchedule(benchmark::State& state) {
-  const Topology topo(static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)));
-  Rng rng(52);
-  const Permutation pi = Permutation::random(topo.processor_count(), rng);
-  RoutingEngine engine(topo);
-  const std::vector<SlotPlan> slots =
-      engine.route_permutation(pi).to_slot_plans();
-  Network net(topo);
-  for (auto _ : state) {
-    net.load_permutation_traffic(pi);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    net.execute(slots);
-#pragma GCC diagnostic pop
-  }
-  state.SetItemsProcessed(state.iterations() * topo.processor_count() *
-                          static_cast<long long>(slots.size()));
-}
-
 void BM_ExecuteFlatSchedule(benchmark::State& state) {
   const Topology topo(static_cast<int>(state.range(0)),
                       static_cast<int>(state.range(1)));
@@ -149,14 +125,11 @@ void BM_LoadTraffic(benchmark::State& state) {
 }
 
 void register_tier_benches() {
-  auto* nested = benchmark::RegisterBenchmark("BM_ExecuteSchedule",
-                                              BM_ExecuteSchedule);
   auto* flat = benchmark::RegisterBenchmark("BM_ExecuteFlatSchedule",
                                             BM_ExecuteFlatSchedule);
   auto* broadcast =
       benchmark::RegisterBenchmark("BM_Broadcast", BM_Broadcast);
   for (const GridPoint point : tier().grid) {
-    nested->Args({point.d, point.g});
     flat->Args({point.d, point.g});
     broadcast->Args({point.d, point.g});
   }

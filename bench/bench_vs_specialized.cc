@@ -72,7 +72,7 @@ void print_tables() {
       double special_s = 1e99;
       for (int rep = 0; rep < 3; ++rep) {
         Timer t1;
-        benchmark::DoNotOptimize(route_permutation(topo, pi));
+        benchmark::DoNotOptimize(route(topo, pi, {RouteStrategy::kTheorem2}));
         general_s = std::min(general_s, t1.seconds());
         Timer t2;
         benchmark::DoNotOptimize(route_group_block(topo, pi));
@@ -96,7 +96,7 @@ void BM_GeneralOnGroupBlock(benchmark::State& state) {
   Rng rng(49);
   const Permutation pi = random_group_block(topo.d(), topo.g(), rng, true);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(route_permutation(topo, pi));
+    benchmark::DoNotOptimize(route(topo, pi, {RouteStrategy::kTheorem2}));
   }
 }
 BENCHMARK(BM_GeneralOnGroupBlock)->Args({32, 32})->Args({64, 16});

@@ -1,15 +1,12 @@
 // Schedule representations for the POPS(d, g) slot model.
 //
-// Two layouts coexist:
-//
-//   * SlotPlan / std::vector<SlotPlan> — the original
-//     vector-of-vectors form. Convenient to build by hand in tests and
-//     kept as the compatibility surface of the free routing functions.
-//   * FlatSchedule — the zero-allocation form the RoutingEngine emits
-//     and the simulator, verifier and benches consume: one contiguous
-//     Transmission array plus CSR-style slot offsets. Rebuilding a
-//     schedule in place (clear + begin_slot + push) reuses the arrays,
-//     so bulk routing performs no steady-state heap allocation.
+// FlatSchedule is the one schedule layout: the RoutingEngine and the
+// HRelationRouter emit it, and the simulator, verifier and benches
+// consume it. It is one contiguous Transmission array plus CSR-style
+// slot offsets; rebuilding a schedule in place (clear + begin_slot +
+// push) reuses the arrays, so bulk routing performs no steady-state
+// heap allocation. SlotPlan holds a single hand-built slot (one-to-all
+// broadcasts, hand-written test slots) for Network::execute_slot.
 #pragma once
 
 #include <vector>
@@ -28,7 +25,7 @@ struct Transmission {
   int packet;
 };
 
-/// All transmissions of one time slot (nested legacy layout).
+/// All transmissions of one hand-built time slot.
 struct SlotPlan {
   std::vector<Transmission> transmissions;
 };
@@ -83,9 +80,6 @@ class FlatSchedule {
     return transmissions_.capacity();
   }
   std::size_t offset_capacity() const { return offsets_.capacity(); }
-
-  /// Copies out to the nested legacy layout (the wrapper API).
-  std::vector<SlotPlan> to_slot_plans() const;
 
  private:
   std::vector<Transmission> transmissions_;

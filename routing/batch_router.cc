@@ -12,7 +12,7 @@ BatchRouter::BatchRouter(const Topology& topo,
              "BatchRouter needs a positive queue capacity");
   engines_.reserve(as_size(config.threads));
   // Warm every engine on the launching thread, before any worker
-  // exists: route_best runs both constructions and the verification
+  // exists: kBest runs both constructions and the verification
   // simulator, so all arenas reach their steady-state shapes (which
   // depend only on the topology, not on the permutation) and each
   // engine arms its own allocation ban. Workers then inherit engines
@@ -20,7 +20,7 @@ BatchRouter::BatchRouter(const Topology& topo,
   const Permutation warm_up = Permutation::identity(topo.processor_count());
   for (int i = 0; i < config.threads; ++i) {
     engines_.emplace_back(topo_, config.engine);
-    engines_.back().route_best(warm_up);
+    engines_.back().route(warm_up, {RouteStrategy::kBest});
   }
   ring_.resize(as_size(config.queue_capacity));
   workers_.reserve(as_size(config.threads));

@@ -56,7 +56,7 @@ struct BatchRouterConfig {
 
 class BatchRouter {
  public:
-  /// Builds and warms one engine per worker (route_best on a warm-up
+  /// Builds and warms one engine per worker (kBest on a warm-up
   /// permutation sizes every arena, including the verification
   /// simulator), then starts the workers. All allocation happens here.
   explicit BatchRouter(const Topology& topo,

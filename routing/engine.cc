@@ -60,10 +60,9 @@ const FlatSchedule& RoutingEngine::route(const Permutation& pi,
     }
     case RouteStrategy::kBest: {
       // route_best executes both candidates on the internal simulator
-      // unconditionally, so options.verify adds nothing here.
-      const FlatSchedule& schedule = route_best(pi);
-      last_strategy_ = best_strategy_;
-      return schedule;
+      // unconditionally (and records the winner in last_strategy_), so
+      // options.verify adds nothing here.
+      return route_best(pi);
     }
   }
   POPS_CHECK(false, "route: unknown RouteStrategy");
@@ -262,7 +261,7 @@ const FlatSchedule& RoutingEngine::route_best(const Permutation& pi) {
     // abort must name the broken schedule, not trip the guard.
     ScopedAllocationAllow allow;
     POPS_CHECK(false,
-               str_cat("best_route: direct candidate failed verification: ",
+               str_cat("route_best: direct candidate failed verification: ",
                        verification_failure()));
   }
   build_theorem2(Span<const int>(pi.images()));
@@ -270,17 +269,17 @@ const FlatSchedule& RoutingEngine::route_best(const Permutation& pi) {
     ScopedAllocationAllow allow;
     POPS_CHECK(
         false,
-        str_cat("best_route: Theorem 2 candidate failed verification: ",
+        str_cat("route_best: Theorem 2 candidate failed verification: ",
                 verification_failure()));
   }
   // Direct wins ties: same length, one hop per packet and no relay
   // buffering.
   if (direct_schedule_.slot_count() <=
       theorem2_schedule_.slot_count()) {
-    best_strategy_ = RouteStrategy::kDirect;
+    last_strategy_ = RouteStrategy::kDirect;
     return direct_schedule_;
   }
-  best_strategy_ = RouteStrategy::kTheorem2;
+  last_strategy_ = RouteStrategy::kTheorem2;
   return theorem2_schedule_;
 }
 

@@ -9,9 +9,8 @@
 //
 // per permutation; many-permutation throughput callers use
 // BatchRouter::route_batch (routing/batch_router.h), which confines
-// one warm engine to each worker thread. The historical free functions
-// route_permutation / route_direct / best_route are deprecated shims
-// over this class.
+// one warm engine to each worker thread, and h-relation callers use
+// HRelationRouter (routing/h_relation.h), which owns one engine.
 //
 // Mei & Rizzi's Theorem 2 construction is oblivious and shape-static
 // for fixed (d, g): H is always d-regular on g + g vertices with
@@ -114,12 +113,8 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   const FlatSchedule& route_direct(const Permutation& pi);
   int direct_max_demand() const { return direct_max_demand_; }
 
-  /// Portfolio: routes pi with both strategies, executes both
-  /// schedules on the engine's internal strict simulator (aborting on
-  /// any violation — the engine never hands out an unverified
-  /// portfolio plan), and returns the shorter one. Ties go to direct.
-  const FlatSchedule& route_best(const Permutation& pi);
-  RouteStrategy best_strategy() const { return best_strategy_; }
+  /// Slot counts of the last direct and Theorem 2 schedules built
+  /// (both candidates after a kBest route).
   int direct_slot_count() const { return direct_schedule_.slot_count(); }
   int theorem2_slot_count() const {
     return theorem2_schedule_.slot_count();
@@ -134,6 +129,11 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   bool zero_alloc_eligible() const { return zero_alloc_eligible_; }
 
  private:
+  /// Portfolio (kBest): routes pi with both strategies, executes both
+  /// schedules on the engine's internal strict simulator (aborting on
+  /// any violation — the engine never hands out an unverified
+  /// portfolio plan), and returns the shorter one. Ties go to direct.
+  const FlatSchedule& route_best(const Permutation& pi);
   void build_theorem2(Span<const int> images);
   void build_direct(const Permutation& pi);
   /// Executes `schedule` on the internal simulator under permutation
@@ -186,7 +186,6 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   // per-processor buffers and stamp arrays are the engine's largest
   // arena, and the unverified theorem2/direct paths never touch them.
   std::optional<Network> net_;
-  RouteStrategy best_strategy_ = RouteStrategy::kDirect;
   RouteStrategy last_strategy_ = RouteStrategy::kTheorem2;
 };
 

@@ -2,111 +2,139 @@
 
 #include <algorithm>
 
-#include "graph/bipartite_multigraph.h"
-#include "graph/edge_coloring.h"
-#include "routing/engine.h"
-
 namespace pops {
 
-int HRelationPlan::total_slots() const {
-  int total = 0;
-  for (const HRelationPhase& phase : phases) {
-    total += as_int(phase.slots.size());
-  }
-  return total;
-}
-
-std::vector<SlotPlan> HRelationPlan::all_slots() const {
-  std::vector<SlotPlan> slots;
-  for (const HRelationPhase& phase : phases) {
-    slots.insert(slots.end(), phase.slots.begin(), phase.slots.end());
-  }
-  return slots;
-}
-
-HRelationPlan route_h_relation(const Topology& topo,
-                               const std::vector<Request>& requests,
-                               const RouterOptions& options) {
+HRelationRouter::HRelationRouter(const Topology& topo,
+                                 const RouterOptions& options)
+    : engine_(topo, options),
+      traffic_(topo.processor_count(), topo.processor_count()) {
   const int n = topo.processor_count();
+  image_.assign(as_size(n), -1);
+  request_of_source_.assign(as_size(n), -1);
+  destination_used_.assign(as_size(n), 0);
+  plan_.phase_offsets.assign(1, 0);
+}
+
+void HRelationRouter::reserve(int max_requests, int max_degree) {
+  const int n = topology().processor_count();
+  // The traffic graph never holds more edges than requests, nor more
+  // than n per unit of degree, nor a vertex of higher degree than the
+  // cap; the coloring never needs a larger color array.
+  const int degree = std::min(max_degree, max_requests);
+  traffic_.reserve_edges(
+      static_cast<int>(std::min<long long>(
+          max_requests, static_cast<long long>(n) * max_degree)),
+      degree);
+  coloring_.color.reserve(as_size(max_requests));
+  phase_cursor_.reserve(as_size(max_degree));
+  plan_.phase_offsets.reserve(as_size(max_degree + 1));
+  plan_.phase_requests.reserve(as_size(max_requests));
+  // h phases filter h Theorem 2 schedules of at most 2n transmissions.
+  plan_.schedule.reserve(2 * n * max_degree,
+                         max_degree * theorem2_slots(topology()));
+}
+
+const HRelationPlan& HRelationRouter::route(Span<const Request> requests) {
+  const int n = topology().processor_count();
+  const int request_count = requests.count();
 
   // The traffic multigraph: one edge per request, processor to
   // processor, so the edge id is the request id.
-  BipartiteMultigraph traffic(n, n);
+  traffic_.reset(n, n);
   for (const Request& request : requests) {
     POPS_CHECK(request.source >= 0 && request.source < n,
                "route_h_relation: request source out of range");
     POPS_CHECK(request.destination >= 0 && request.destination < n,
                "route_h_relation: request destination out of range");
-    traffic.add_edge(request.source, request.destination);
+    traffic_.add_edge(request.source, request.destination);
   }
+  const int h = traffic_.max_degree();
+  plan_.h = h;
+  plan_.schedule.clear();
+  plan_.phase_offsets.assign(as_size(h + 1), 0);
+  plan_.phase_requests.resize(as_size(request_count));
+  if (h == 0) return plan_;
 
-  HRelationPlan plan;
-  plan.h = traffic.max_degree();
-  if (plan.h == 0) return plan;
-
-  const EdgeColoring coloring = color_edges(traffic, options.coloring);
-  POPS_CHECK(coloring.num_colors == plan.h,
+  colorer_.color(traffic_, engine_.options().coloring, coloring_);
+  POPS_CHECK(coloring_.num_colors == h,
              "König: an h-relation must be h-edge-colorable");
-  std::vector<std::vector<int>> requests_of_color(as_size(plan.h));
-  for (int e = 0; e < traffic.edge_count(); ++e) {
-    requests_of_color[as_size(coloring.color[as_size(e)])].push_back(e);
+
+  // Bucket the requests per phase (counting sort into CSR; stable, so
+  // each phase lists its requests in increasing id order).
+  std::vector<int>& offsets = plan_.phase_offsets;
+  for (int e = 0; e < request_count; ++e) {
+    ++offsets[as_size(coloring_.color[as_size(e)] + 1)];
+  }
+  for (int c = 0; c < h; ++c) {
+    offsets[as_size(c + 1)] += offsets[as_size(c)];
+  }
+  phase_cursor_.assign(offsets.begin(), offsets.end() - 1);
+  for (int e = 0; e < request_count; ++e) {
+    const int c = coloring_.color[as_size(e)];
+    plan_.phase_requests[as_size(phase_cursor_[as_size(c)]++)] = e;
   }
 
-  // One engine for all h phases: the Theorem 2 scratch (multigraphs,
-  // colorings, flat schedule) warms up on the first phase and is
-  // reused by the remaining h - 1, which is where bulk h-relations
-  // spend their time.
-  RoutingEngine engine(topo, options);
-  std::vector<int> image(as_size(n));
-  std::vector<int> request_of_source(as_size(n));
-  std::vector<bool> destination_used(as_size(n));
-
-  for (int c = 0; c < plan.h; ++c) {
+  for (int c = 0; c < h; ++c) {
     // By properness, the class is a partial permutation: each
     // processor sends at most one of its packets and receives at most
     // one.
-    HRelationPhase phase;
-    phase.requests = std::move(requests_of_color[as_size(c)]);
-    std::fill(image.begin(), image.end(), -1);
-    std::fill(request_of_source.begin(), request_of_source.end(), -1);
-    std::fill(destination_used.begin(), destination_used.end(), false);
-    for (const int e : phase.requests) {
+    std::fill(image_.begin(), image_.end(), -1);
+    std::fill(request_of_source_.begin(), request_of_source_.end(), -1);
+    std::fill(destination_used_.begin(), destination_used_.end(), 0);
+    for (int k = offsets[as_size(c)]; k < offsets[as_size(c + 1)]; ++k) {
+      const int e = plan_.phase_requests[as_size(k)];
       const Request& request = requests[as_size(e)];
-      image[as_size(request.source)] = request.destination;
-      request_of_source[as_size(request.source)] = e;
-      destination_used[as_size(request.destination)] = true;
+      image_[as_size(request.source)] = request.destination;
+      request_of_source_[as_size(request.source)] = e;
+      destination_used_[as_size(request.destination)] = 1;
     }
 
     // Pad to a full permutation (idle sources -> unused destinations,
     // in order) so the Theorem 2 router applies as-is.
     int next_free = 0;
     for (int p = 0; p < n; ++p) {
-      if (image[as_size(p)] != -1) continue;
-      while (destination_used[as_size(next_free)]) ++next_free;
-      image[as_size(p)] = next_free;
-      destination_used[as_size(next_free)] = true;
+      if (image_[as_size(p)] != -1) continue;
+      while (destination_used_[as_size(next_free)] != 0) ++next_free;
+      image_[as_size(p)] = next_free;
+      destination_used_[as_size(next_free)] = 1;
     }
-
-    const FlatSchedule& padded =
-        engine.route_permutation(Permutation(image));
 
     // Dropping the padding transmissions only relaxes the optical
     // constraints, so the filtered schedule stays valid. Each kept
     // transmission is renamed from the engine's packet id (the phase
     // source) to the request id the simulator tracks.
+    const FlatSchedule& padded =
+        engine_.route_permutation(Span<const int>(image_));
     for (int s = 0; s < padded.slot_count(); ++s) {
-      SlotPlan filtered;
+      plan_.schedule.begin_slot();
       for (const Transmission& t : padded.slot(s)) {
-        const int request = request_of_source[as_size(t.packet)];
-        if (request == -1) continue;
-        filtered.transmissions.push_back(
-            Transmission{t.source, t.destination, request});
+        const int e = request_of_source_[as_size(t.packet)];
+        if (e == -1) continue;
+        plan_.schedule.push(Transmission{t.source, t.destination, e});
       }
-      phase.slots.push_back(std::move(filtered));
     }
-    plan.phases.push_back(std::move(phase));
   }
-  return plan;
+  return plan_;
+}
+
+ScratchFootprint HRelationRouter::scratch_footprint() const {
+  ScratchFootprint footprint = engine_.scratch_footprint();
+  footprint.units +=
+      traffic_.scratch_capacity() + colorer_.scratch_capacity() +
+      coloring_.color.capacity() + phase_cursor_.capacity() +
+      image_.capacity() + request_of_source_.capacity() +
+      destination_used_.capacity() +
+      plan_.schedule.transmission_capacity() +
+      plan_.schedule.offset_capacity() + plan_.phase_offsets.capacity() +
+      plan_.phase_requests.capacity();
+  return footprint;
+}
+
+HRelationPlan route_h_relation(const Topology& topo,
+                               const std::vector<Request>& requests,
+                               const RouterOptions& options) {
+  HRelationRouter router(topo, options);
+  return router.route(requests);
 }
 
 }  // namespace pops

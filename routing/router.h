@@ -31,13 +31,10 @@
 // the strategy that produced it. Bulk callers hold a RoutingEngine
 // (routing/engine.h) and call engine.route(pi, options) to reuse the
 // scratch arenas; many-permutation throughput callers use
-// BatchRouter::route_batch (routing/batch_router.h). The historical
-// free functions route_permutation / route_direct / best_route and
-// their nested-vector plan types survive as deprecated shims.
+// BatchRouter::route_batch (routing/batch_router.h).
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "graph/edge_coloring.h"
 #include "perm/permutation.h"
@@ -100,26 +97,5 @@ int theorem2_slots(const Topology& topo);
 /// BatchRouter) instead.
 RouteResult route(const Topology& topo, const Permutation& pi,
                   const RouteOptions& options = {});
-
-// ---------------------------------------------------------------------
-// Deprecated legacy surface (nested-vector plan types). Every shim
-// delegates to the engine; migrate to route() / RoutingEngine::route.
-
-struct RoutePlan {
-  /// The schedule: 1 slot when d == 1, else 2 * ceil(d / g).
-  std::vector<SlotPlan> slots;
-  /// Intermediate processor of each source's packet (the source itself
-  /// when the packet is routed directly, as in the d == 1 case).
-  std::vector<int> intermediate_of;
-
-  int slot_count() const { return static_cast<int>(slots.size()); }
-};
-
-/// Builds a verified-by-construction Theorem 2 schedule for pi.
-[[deprecated(
-    "use route(topo, pi, {RouteStrategy::kTheorem2}) or "
-    "RoutingEngine::route")]]
-RoutePlan route_permutation(const Topology& topo, const Permutation& pi,
-                            const RouterOptions& options = {});
 
 }  // namespace pops

@@ -6,11 +6,10 @@
 // accumulates them into a window that is always a valid h-relation
 // (the degree cap is enforced on admission, so the König decomposition
 // below never sees a window of unbounded degree), and on window close
-// routes the window with one reused RoutingEngine — the same
-// decomposition as routing/h_relation, re-implemented against
-// server-owned scratch so that steady-state serving performs no heap
-// allocation — executes the schedule on the strict simulator, and
-// aborts rather than report counters from an unverified window.
+// routes the window with one reused HRelationRouter (routing/
+// h_relation.h, the same pipeline route_h_relation runs), executes the
+// schedule on the strict simulator, and aborts rather than report
+// counters from an unverified window.
 //
 // Time is measured in slots ("ticks"): demands carry the arrival tick
 // of their open-loop generator, a window executes at
@@ -20,9 +19,10 @@
 // aggregated in a fixed-bucket histogram (p50/p99 without allocation).
 //
 // Ownership follows the RoutingEngine discipline: the server owns
-// every intermediate — the traffic multigraph, the coloring, the
-// per-phase padding arrays, the filtered flat schedule, the simulator
-// — and rebuilds them in place per window. scratch_footprint() is the
+// every intermediate — the window buffers, the router (with its
+// traffic multigraph, coloring, padding arrays and filtered schedule),
+// the simulator — and rebuilds them in place per window.
+// scratch_footprint() is the
 // aggregate capacity the soak tests compare across thousands of
 // windows; under POPS_ALLOC_GUARD builds the contract is additionally
 // enforced at runtime: every post-priming window executes inside a
@@ -40,10 +40,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "pops/flat_plan.h"
 #include "pops/network.h"
 #include "pops/patterns.h"
-#include "routing/engine.h"
 #include "routing/h_relation.h"
 #include "support/mutex.h"
 #include "support/thread_annotations.h"
@@ -68,13 +66,14 @@ struct ServerConfig {
 };
 
 /// Power-of-two-bucket latency histogram: bucket k counts delays in
-/// [2^(k-1), 2^k) (bucket 0 counts exact zeros). Fixed storage, so
-/// recording is allocation-free; percentiles are bucket upper bounds.
+/// [2^(k-1), 2^k) (bucket 0 counts exact zeros), so bucket 64 covers
+/// [2^63, 2^64). Fixed storage, so recording is allocation-free;
+/// percentiles are bucket upper bounds.
 struct DelayHistogram {
   long long count = 0;
   unsigned long long sum = 0;
   std::uint64_t max = 0;
-  std::array<long long, 64> buckets{};
+  std::array<long long, 65> buckets{};
 
   void record(std::uint64_t delay);
   /// Upper bound of the bucket holding the q-quantile (q in [0, 1]);
@@ -153,22 +152,22 @@ class TrafficServer {
   /// Degree of the last executed window (0 before the first window).
   int last_window_degree() const POPS_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return last_h_;
+    return router_.plan().h;
   }
   /// Slot count of the last executed window.
   int last_window_slots() const POPS_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return window_schedule_.slot_count();
+    return router_.plan().total_slots();
   }
 
-  /// Debug/verification accessors: the last executed window as the
-  /// routing/h_relation types, so tests can feed the server's output
-  /// through verify_h_relation. These materialize fresh vectors and
-  /// are not part of the serving hot path.
+  /// Debug/verification accessors: copies of the last executed
+  /// window's requests and routed plan, so tests can feed the server's
+  /// output through verify_h_relation. They allocate and are not part
+  /// of the serving hot path.
   std::vector<Request> last_window_requests() const POPS_EXCLUDES(mu_);
   HRelationPlan last_window_plan() const POPS_EXCLUDES(mu_);
 
-  /// Aggregate capacity of every server-owned arena (engine and
+  /// Aggregate capacity of every server-owned arena (router and
   /// simulator included). Two equal footprints around a stretch of
   /// serving mean no steady-state allocation grew.
   ScratchFootprint scratch_footprint() const POPS_EXCLUDES(mu_);
@@ -186,7 +185,6 @@ class TrafficServer {
   // Immutable after construction (no guard needed).
   Topology topo_;
   ServerConfig config_;
-  bool zero_alloc_eligible_ = false;
 
   mutable Mutex mu_;
 
@@ -195,29 +193,19 @@ class TrafficServer {
 
   // --- Open window ---
   std::vector<Demand> demands_ POPS_GUARDED_BY(mu_);
+  std::vector<Request> requests_ POPS_GUARDED_BY(mu_);  // of demands_
   std::vector<int> send_count_ POPS_GUARDED_BY(mu_);  // per processor
   std::vector<int> recv_count_ POPS_GUARDED_BY(mu_);  // per processor
   int window_degree_ POPS_GUARDED_BY(mu_) = 0;
   std::uint64_t window_max_arrival_ POPS_GUARDED_BY(mu_) = 0;
   long long window_payload_ POPS_GUARDED_BY(mu_) = 0;
 
-  // --- Routing scratch (rebuilt in place per window) ---
-  RoutingEngine engine_ POPS_GUARDED_BY(mu_);
-  BipartiteMultigraph traffic_ POPS_GUARDED_BY(mu_);  // one edge/demand
-  EdgeColorer colorer_ POPS_GUARDED_BY(mu_);
-  EdgeColoring coloring_ POPS_GUARDED_BY(mu_);  // h-coloring of traffic
-  std::vector<int> phase_offsets_ POPS_GUARDED_BY(mu_);  // CSR, h + 1
-  std::vector<int> phase_demands_ POPS_GUARDED_BY(mu_);  // by phase
-  std::vector<int> phase_cursor_ POPS_GUARDED_BY(mu_);   // sort cursors
-  std::vector<int> image_ POPS_GUARDED_BY(mu_);  // padded permutation
-  std::vector<int> demand_of_source_ POPS_GUARDED_BY(mu_);
-  std::vector<char> destination_used_ POPS_GUARDED_BY(mu_);
-  FlatSchedule window_schedule_ POPS_GUARDED_BY(mu_);  // filtered
+  // --- Routing and simulation (rebuilt in place per window) ---
+  HRelationRouter router_ POPS_GUARDED_BY(mu_);  // holds the last plan
   Network net_ POPS_GUARDED_BY(mu_);
 
-  // --- Last executed window (for the debug accessors) ---
-  std::vector<Demand> last_demands_ POPS_GUARDED_BY(mu_);
-  int last_h_ POPS_GUARDED_BY(mu_) = 0;
+  // Requests of the last executed window (for the debug accessors).
+  std::vector<Request> last_requests_ POPS_GUARDED_BY(mu_);
 
   // Armed after priming: every later execute_window runs inside a
   // ScopedAllocationBan (POPS_ALLOC_GUARD builds abort on any heap

@@ -113,11 +113,12 @@ POPS_TEST(WarmEngineInsideBanIsClean) {
   Rng rng(7);
   const Permutation warm_up =
       Permutation::random(topo.processor_count(), rng);
-  engine.route_best(warm_up);  // warms all three strategies + verifier
+  engine.route(warm_up, {RouteStrategy::kBest});  // warms both + verifier
   const Permutation steady =
       Permutation::random(topo.processor_count(), rng);
   ScopedAllocationBan ban("test: warm engine route");
-  const FlatSchedule& schedule = engine.route_best(steady);
+  const FlatSchedule& schedule =
+      engine.route(steady, {RouteStrategy::kBest});
   EXPECT_TRUE(schedule.slot_count() > 0);
 }
 
@@ -157,11 +158,12 @@ POPS_TEST(WarmEngineInsideBanIsCleanForEveryColoringBackend) {
     Rng rng(7);
     const Permutation warm_up =
         Permutation::random(topo.processor_count(), rng);
-    engine.route_best(warm_up);  // warms all strategies + verifier
+    engine.route(warm_up, {RouteStrategy::kBest});  // warms all + verifier
     const Permutation steady =
         Permutation::random(topo.processor_count(), rng);
     ScopedAllocationBan ban("test: warm backend route");
-    const FlatSchedule& schedule = engine.route_best(steady);
+    const FlatSchedule& schedule =
+        engine.route(steady, {RouteStrategy::kBest});
     EXPECT_TRUE(schedule.slot_count() > 0);
   }
 }

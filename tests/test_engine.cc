@@ -1,13 +1,11 @@
 // Tentpole coverage: the RoutingEngine must (a) produce schedules that
 // are slot-for-slot verified across the (d, g) grid for every
-// strategy, (b) agree with the legacy wrapper API, and (c) perform no
-// steady-state heap allocation — asserted by routing repeatedly after
-// a warm-up call and demanding that no engine-owned scratch arena ever
-// grows again.
+// strategy and (b) perform no steady-state heap allocation — asserted
+// by routing repeatedly after a warm-up call and demanding that no
+// engine-owned scratch arena ever grows again.
 #include "perm/families.h"
 #include "pops/patterns.h"
 #include "routing/engine.h"
-#include "routing/portfolio.h"
 #include "routing/verify.h"
 #include "support/alloc_guard.h"
 #include "support/prng.h"
@@ -41,34 +39,7 @@ POPS_TEST(EngineRoutesTheGridAtTheBound) {
   }
 }
 
-POPS_TEST(EngineMatchesTheWrapperApi) {
-  Rng rng(72);
-  const Topology topo(4, 3);
-  const Permutation pi = Permutation::random(12, rng);
-  RoutingEngine engine(topo);
-  const FlatSchedule& flat = engine.route_permutation(pi);
-  // The wrapper is deprecated; this test is exactly the shim contract
-  // the deprecation message promises, so the warning is suppressed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const RoutePlan plan = route_permutation(topo, pi);
-#pragma GCC diagnostic pop
-  EXPECT_EQ(plan.slot_count(), flat.slot_count());
-  EXPECT_EQ(plan.intermediate_of.size(),
-            engine.intermediate_of().size());
-  for (int s = 0; s < flat.slot_count(); ++s) {
-    const Span<const Transmission> slot = flat.slot(s);
-    EXPECT_EQ(plan.slots[as_size(s)].transmissions.size(), slot.size());
-    for (std::size_t i = 0; i < slot.size(); ++i) {
-      const Transmission& a = plan.slots[as_size(s)].transmissions[i];
-      EXPECT_EQ(a.source, slot[i].source);
-      EXPECT_EQ(a.destination, slot[i].destination);
-      EXPECT_EQ(a.packet, slot[i].packet);
-    }
-  }
-}
-
-POPS_TEST(EngineDirectAndBestAgreeWithWrappers) {
+POPS_TEST(EngineDirectAndBestVerifyAtTheirSlotCounts) {
   Rng rng(73);
   for (const auto& [d, g] : {std::pair{4, 4}, {8, 2}, {2, 8}}) {
     const Topology topo(d, g);
@@ -78,25 +49,16 @@ POPS_TEST(EngineDirectAndBestAgreeWithWrappers) {
          {Permutation::random(n, rng), vector_reversal(n),
           group_rotation(d, g, 1)}) {
       const FlatSchedule& direct = engine.route_direct(pi);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-      const DirectPlan direct_plan = route_direct(topo, pi);
-#pragma GCC diagnostic pop
-      EXPECT_EQ(direct.slot_count(), direct_plan.slot_count());
-      EXPECT_EQ(engine.direct_max_demand(), direct_plan.max_demand);
+      EXPECT_EQ(direct.slot_count(), engine.direct_max_demand());
       EXPECT_TRUE(verify_schedule(topo, pi, direct).ok);
 
-      const FlatSchedule& best = engine.route_best(pi);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-      const PortfolioPlan best_plan = best_route(topo, pi);
-#pragma GCC diagnostic pop
-      EXPECT_EQ(best.slot_count(), best_plan.slot_count());
-      EXPECT_TRUE(engine.best_strategy() == best_plan.strategy);
-      EXPECT_EQ(engine.direct_slot_count(),
-                best_plan.direct_slot_count);
-      EXPECT_EQ(engine.theorem2_slot_count(),
-                best_plan.theorem2_slot_count);
+      const FlatSchedule& best = engine.route(pi, {RouteStrategy::kBest});
+      EXPECT_EQ(engine.direct_slot_count(), engine.direct_max_demand());
+      EXPECT_EQ(engine.theorem2_slot_count(), theorem2_slots(topo));
+      EXPECT_EQ(best.slot_count(),
+                engine.last_strategy() == RouteStrategy::kDirect
+                    ? engine.direct_slot_count()
+                    : engine.theorem2_slot_count());
       EXPECT_TRUE(verify_schedule(topo, pi, best).ok);
     }
   }
@@ -116,9 +78,9 @@ POPS_TEST(EngineSteadyStateNeverGrowsScratch) {
     const Topology topo(d, g);
     const int n = topo.processor_count();
     RoutingEngine engine(topo);
-    // Warm-up: one call per strategy (route_best covers both builders,
+    // Warm-up: one call per strategy (kBest covers both builders,
     // plus the verification Network).
-    engine.route_best(Permutation::random(n, rng));
+    engine.route(Permutation::random(n, rng), {RouteStrategy::kBest});
     const ScratchFootprint warm = engine.scratch_footprint();
     EXPECT_TRUE(warm.units > 0);
     std::vector<Permutation> trials;
@@ -135,7 +97,7 @@ POPS_TEST(EngineSteadyStateNeverGrowsScratch) {
       EXPECT_EQ(engine.scratch_footprint(), warm);
       engine.route_direct(pi);
       EXPECT_EQ(engine.scratch_footprint(), warm);
-      engine.route_best(pi);
+      engine.route(pi, {RouteStrategy::kBest});
       EXPECT_EQ(engine.scratch_footprint(), warm);
     }
   }

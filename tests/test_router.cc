@@ -1,6 +1,5 @@
 // route(topo, pi, options) — the one-shot entry point of the routing
-// API — plus the Theorem 2 slot formula and the deprecated
-// route_permutation shim it replaced.
+// API — plus the Theorem 2 slot formula.
 #include "perm/families.h"
 #include "routing/router.h"
 #include "routing/verify.h"
@@ -146,51 +145,6 @@ POPS_TEST(SingleSlotTopologyRoutesDirectly) {
   const RouteResult result = route(topo, pi, {RouteStrategy::kTheorem2});
   EXPECT_EQ(result.slot_count, 1);
   EXPECT_TRUE(verify_schedule(topo, pi, result.schedule).ok);
-}
-
-// The deprecated wrapper must keep producing exactly the schedule the
-// canonical entry point produces (it is documented as a shim, so
-// "equivalent" means transmission-for-transmission identical), plus
-// the legacy intermediate_of payload.
-POPS_TEST(DeprecatedRoutePermutationShimMatchesRoute) {
-  Rng rng(19);
-  for (const auto& [d, g] : {std::pair{4, 3}, {1, 8}, {8, 8}}) {
-    const Topology topo(d, g);
-    const int n = topo.processor_count();
-    const Permutation pi = Permutation::random(n, rng);
-    const RouteResult result = route(topo, pi, {RouteStrategy::kTheorem2});
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const RoutePlan plan = route_permutation(topo, pi);
-#pragma GCC diagnostic pop
-    EXPECT_EQ(plan.slot_count(), result.slot_count);
-    for (int s = 0; s < result.slot_count; ++s) {
-      const Span<const Transmission> flat = result.schedule.slot(s);
-      const std::vector<Transmission>& nested =
-          plan.slots[as_size(s)].transmissions;
-      EXPECT_EQ(nested.size(), flat.size());
-      for (std::size_t i = 0; i < flat.size(); ++i) {
-        EXPECT_EQ(nested[i].source, flat[i].source);
-        EXPECT_EQ(nested[i].destination, flat[i].destination);
-        EXPECT_EQ(nested[i].packet, flat[i].packet);
-      }
-    }
-    // Legacy intermediates: one in-range intermediate per packet,
-    // consistent with the first slot of each batch pair.
-    EXPECT_EQ(plan.intermediate_of.size(), as_size(n));
-    for (int s = 0; s < n; ++s) {
-      const int mid = plan.intermediate_of[as_size(s)];
-      EXPECT_TRUE(mid >= 0 && mid < n);
-    }
-    for (std::size_t slot = 0; slot + 1 < plan.slots.size(); slot += 2) {
-      std::vector<bool> used(as_size(n), false);
-      for (const Transmission& t : plan.slots[slot].transmissions) {
-        EXPECT_FALSE(used[as_size(t.destination)]);
-        used[as_size(t.destination)] = true;
-        EXPECT_EQ(plan.intermediate_of[as_size(t.packet)], t.destination);
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -30,8 +30,9 @@ POPS_TEST(TwoEnginesOnTwoThreadsRouteDisjointTopologies) {
     for (int trial = 0; trial < 200; ++trial) {
       const Permutation pi =
           Permutation::random(topo.processor_count(), rng);
-      const FlatSchedule& schedule = engine.route_best(pi);
-      // route_best verifies both candidates on its internal simulator
+      const FlatSchedule& schedule =
+          engine.route(pi, {RouteStrategy::kBest});
+      // kBest verifies both candidates on the internal simulator
       // and never exceeds the Theorem 2 bound.
       if (schedule.slot_count() < 1 ||
           schedule.slot_count() > theorem2_slots(topo)) {

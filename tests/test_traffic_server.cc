@@ -1,15 +1,18 @@
 // Tests for serve/: window-close edge cases, verification of the
 // server's routed windows through the independent verify_h_relation
-// checker (including a corrupted-window negative path), and the
-// zero-steady-state-allocation soak contract.
+// checker (including a corrupted-window negative path), a differential
+// check against route_h_relation, and the zero-steady-state-allocation
+// soak contract.
 #include "serve/traffic_server.h"
 
+#include <limits>
 #include <vector>
 
 #include "pops/patterns.h"
 #include "routing/bounds.h"
 #include "routing/verify.h"
 #include "support/alloc_guard.h"
+#include "tests/plan_util.h"
 #include "tests/testing.h"
 
 namespace pops {
@@ -146,29 +149,63 @@ POPS_TEST(CorruptedWindowFailsVerification) {
   // Redirect the first routed transmission to a wrong receiver: the
   // strict checker must reject the doctored plan (the packet is either
   // misdelivered or the slot now violates the receiver rules).
+  EXPECT_TRUE(plan.schedule.transmission_count() > 0);
   bool corrupted = false;
-  for (auto& phase : plan.phases) {
-    for (auto& slot : phase.slots) {
-      if (!slot.transmissions.empty()) {
-        Transmission& tx = slot.transmissions.front();
-        tx.destination =
-            (tx.destination + 1) % topo.processor_count();
+  plan.schedule = testing::edited_schedule(
+      plan.schedule, plan.total_slots(),
+      [&](int, std::size_t, Transmission& tx) {
+        if (corrupted) return;
+        tx.destination = (tx.destination + 1) % topo.processor_count();
         corrupted = true;
-        break;
-      }
-    }
-    if (corrupted) break;
-  }
+      });
   EXPECT_TRUE(corrupted);
   EXPECT_NE(verify_h_relation(topo, requests, plan), std::string());
 
-  // Dropping a request's packet entirely must also fail.
+  // Dropping the last phase (its requests and slots) strands that
+  // phase's packets, which must also fail.
   HRelationPlan truncated = server.last_window_plan();
-  if (!truncated.phases.empty()) {
-    truncated.phases.back().requests.clear();
-    truncated.phases.back().slots.clear();
-    EXPECT_NE(verify_h_relation(topo, requests, truncated),
-              std::string());
+  EXPECT_TRUE(truncated.h > 0);
+  truncated.h -= 1;
+  truncated.phase_offsets.pop_back();
+  truncated.phase_requests.resize(as_size(truncated.phase_offsets.back()));
+  truncated.schedule = testing::edited_schedule(
+      truncated.schedule, truncated.h * theorem2_slots(topo),
+      [](int, std::size_t, Transmission&) {});
+  EXPECT_NE(verify_h_relation(topo, requests, truncated), std::string());
+}
+
+// The server routes its windows through the same HRelationRouter
+// pipeline as route_h_relation, so every window's plan must equal the
+// one-shot plan of its requests bit for bit: h, phase requests, and
+// every transmission.
+POPS_TEST(EveryWindowMatchesRouteHRelation) {
+  for (const auto& [d, g] :
+       {std::pair{4, 4}, {16, 8}, {8, 2}, {1, 6}, {3, 5}}) {
+    const Topology topo(d, g);
+    for (const ArrivalProcess process : kAllArrivalProcesses) {
+      ServerConfig config;
+      config.max_window_degree = 4;
+      config.max_window_demands = 48;
+      TrafficServer server(topo, config);
+      ArrivalConfig arrivals;
+      arrivals.process = process;
+      arrivals.seed = 41;
+      ArrivalGenerator generator(topo, arrivals);
+      constexpr int kDemands = 3500;
+      long long checked = 0;
+      for (int k = 0; k < kDemands; ++k) {
+        const long long before = server.stats().windows_routed;
+        server.submit(generator.next());
+        if (k == kDemands - 1) server.flush();
+        if (server.stats().windows_routed == before) continue;
+        const std::vector<Request> requests = server.last_window_requests();
+        const std::string difference = testing::plan_difference(
+            server.last_window_plan(), route_h_relation(topo, requests));
+        EXPECT_EQ(difference, std::string());
+        ++checked;
+      }
+      EXPECT_TRUE(checked > 0);
+    }
   }
 }
 
@@ -253,6 +290,44 @@ POPS_TEST(DelayHistogramPercentiles) {
   EXPECT_EQ(histogram.percentile(0.50), std::uint64_t{0});
   EXPECT_EQ(histogram.percentile(0.95), std::uint64_t{7});
   EXPECT_EQ(histogram.percentile(1.0), std::uint64_t{127});
+}
+
+POPS_TEST(DelayHistogramTopBucketCoversTheFullRange) {
+  // Delays in [2^63, 2^64) land in the top bucket, whose upper bound is
+  // the largest representable delay.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  DelayHistogram histogram;
+  histogram.record(kMax);
+  EXPECT_EQ(histogram.count, 1);
+  EXPECT_EQ(histogram.max, kMax);
+  EXPECT_EQ(histogram.buckets.back(), 1);
+  EXPECT_EQ(histogram.percentile(0.5), kMax);
+  histogram.record(kHalf);
+  histogram.record(kHalf - 1);  // bucket 63: [2^62, 2^63)
+  EXPECT_EQ(histogram.buckets.back(), 2);
+  EXPECT_EQ(histogram.percentile(0.0), kHalf - 1);
+  EXPECT_EQ(histogram.percentile(1.0), kMax);
+}
+
+POPS_TEST(ServesAWindowWithArrivals2To63Apart) {
+  // Two demands of one window whose arrival ticks lie 2^63 apart: the
+  // early one waits 2^63 ticks, which the delay histogram must record
+  // in its top bucket.
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  const Topology topo(4, 4);
+  TrafficServer server(topo);
+  server.submit(make_demand(0, 5, 0));
+  server.submit(make_demand(1, 6, kHalf));
+  server.flush();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.windows_routed, 1);
+  EXPECT_EQ(stats.queueing_delay.count, 2);
+  EXPECT_EQ(stats.queueing_delay.max, kHalf);
+  EXPECT_EQ(stats.queueing_delay.percentile(1.0),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(server.now(),
+            kHalf + static_cast<std::uint64_t>(theorem2_slots(topo)));
 }
 
 }  // namespace
