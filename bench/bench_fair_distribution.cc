@@ -2,15 +2,18 @@
 //
 // Paper claim: the bottleneck is 1-factorizing a regular bipartite
 // multigraph; O(g^3) or O(g^2 log g) when d <= g, O(dn) or O(n log d)
-// when d > g, depending on the edge-coloring algorithm. We time the fair
-// distribution step for all three backends on both sweeps and print the
-// growth ratios (time(2x) / time(x)); the backends should separate by
-// their asymptotic slopes.
-#include <map>
+// when d > g, depending on the edge-coloring algorithm. We time the
+// whole Theorem 2 build (RoutingEngine::route_permutation: build H,
+// color it, derive the fair distribution, emit the schedule) with each
+// backend on a d == g sweep and a d > g sweep at g = 8; the backends
+// should separate by their asymptotic slopes. Both sweeps are sized
+// from the tier's Theorem 2 axis, and every timed schedule is verified
+// on the strict simulator.
+#include <algorithm>
+#include <vector>
 
 #include "bench_common.h"
-#include "routing/fair_distribution.h"
-#include "routing/list_system.h"
+#include "routing/engine.h"
 #include "support/format.h"
 #include "support/prng.h"
 #include "support/table.h"
@@ -19,78 +22,107 @@
 namespace pops::bench {
 namespace {
 
-double time_fair(const Topology& topo, ColoringAlgorithm algorithm,
-                 Rng& rng) {
+/// d == g sweep: g = 2x for every x of the tier's Theorem 2 axis.
+std::vector<GridPoint> square_sweep() {
+  std::vector<GridPoint> points;
+  for (const int x : tier().table_axis) points.push_back({2 * x, 2 * x});
+  return points;
+}
+
+/// d > g sweep at g = 8: d = 16x for every x of the same axis.
+std::vector<GridPoint> deep_sweep() {
+  std::vector<GridPoint> points;
+  for (const int x : tier().table_axis) points.push_back({16 * x, 8});
+  return points;
+}
+
+/// Best of 5 warm Theorem 2 builds of one random permutation, in
+/// microseconds; the schedule is verified once.
+double build_us(const Topology& topo, ColoringAlgorithm algorithm,
+                Rng& rng) {
+  RouterOptions options;
+  options.coloring = algorithm;
+  RoutingEngine engine(topo, options);
   const Permutation pi = Permutation::random(topo.processor_count(), rng);
-  const ListSystem ls = list_system_from_permutation(topo, pi);
-  // Median of 3 runs.
+  const FlatSchedule& schedule = engine.route_permutation(pi);  // warm-up
+  const VerificationResult vr = verify_schedule(topo, pi, schedule);
+  POPS_CHECK(vr.ok, "Remark 1 schedule failed verification: " + vr.failure);
+  POPS_CHECK(schedule.slot_count() == theorem2_slots(topo),
+             "Remark 1 schedule missed theorem2_slots");
   double best = 1e99;
-  for (int rep = 0; rep < 3; ++rep) {
+  for (int rep = 0; rep < 5; ++rep) {
     Timer timer;
-    benchmark::DoNotOptimize(fair_distribution(ls, algorithm));
-    best = std::min(best, timer.seconds());
+    benchmark::DoNotOptimize(&engine.route_permutation(pi));
+    best = std::min(best, timer.nanos() / 1e3);
   }
   return best;
 }
 
-void print_tables() {
-  Rng rng(3);
-  auto row = [&](Table& table, int key, const Topology& topo) {
-    std::vector<std::string> cells{std::to_string(key)};
+void print_sweep(const char* key_header, bool key_is_d,
+                 const std::vector<GridPoint>& points, Rng& rng) {
+  std::vector<std::string> headers{key_header};
+  for (const auto algorithm : kAllColoringAlgorithms) {
+    headers.push_back(to_string(algorithm) + " us");
+  }
+  Table table(std::move(headers));
+  for (const GridPoint point : points) {
+    const Topology topo(point.d, point.g);
+    std::vector<std::string> cells{
+        std::to_string(key_is_d ? point.d : point.g)};
     for (const auto algorithm : kAllColoringAlgorithms) {
-      cells.push_back(
-          format_double(time_fair(topo, algorithm, rng) * 1e6, 1));
+      cells.push_back(format_double(build_us(topo, algorithm, rng), 1));
     }
     table.add_row(std::move(cells));
-  };
-  std::cout << "=== E3: fair-distribution cost (Remark 1), d == g sweep ===\n";
-  {
-    Table table({"g (d=g)", "alternating-path us", "euler-split us",
-                 "matching-peel us", "circuit-peel us"});
-    for (const int g : {8, 16, 32, 64, 128}) {
-      row(table, g, Topology(g, g));
-    }
-    table.print(std::cout);
   }
+  table.print(std::cout);
+}
+
+void print_tables() {
+  Rng rng(3);
+  std::cout << "=== E3: Theorem 2 build cost (Remark 1), d == g sweep ===\n";
+  print_sweep("g (d=g)", false, square_sweep(), rng);
   std::cout << "\n=== E3b: d > g sweep (g = 8 fixed) ===\n";
-  {
-    Table table({"d (g=8)", "alternating-path us", "euler-split us",
-                 "matching-peel us", "circuit-peel us"});
-    for (const int d : {16, 32, 64, 128, 256}) {
-      row(table, d, Topology(d, 8));
-    }
-    table.print(std::cout);
-  }
+  print_sweep("d (g=8)", true, deep_sweep(), rng);
   std::cout << "Expected shape: matching-peel grows fastest (extra sqrt(n)\n"
-               "factor); euler-split and circuit-peel track the sub-O(Dm)\n"
-               "bounds of Remark 1; alternating-path sits in between on\n"
+               "factor); euler-split and circuit-peel track each other and\n"
+               "the sub-O(Dm) bounds of Remark 1; alternating-path, the\n"
+               "engine default, usually has the smallest constants on\n"
                "these dense instances.\n\n";
 }
 
-void BM_FairDistribution(benchmark::State& state) {
+void BM_Theorem2Build(benchmark::State& state) {
   const Topology topo(static_cast<int>(state.range(0)),
                       static_cast<int>(state.range(1)));
   const auto algorithm = static_cast<ColoringAlgorithm>(state.range(2));
+  RouterOptions options;
+  options.coloring = algorithm;
+  RoutingEngine engine(topo, options);
   Rng rng(44);
   const Permutation pi = Permutation::random(topo.processor_count(), rng);
-  const ListSystem ls = list_system_from_permutation(topo, pi);
+  engine.route_permutation(pi);  // warm the scratch arenas
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fair_distribution(ls, algorithm));
+    benchmark::DoNotOptimize(&engine.route_permutation(pi));
   }
+  state.SetItemsProcessed(state.iterations());  // permutations routed
+  state.counters["perms_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
   state.SetLabel(to_string(algorithm));
 }
-BENCHMARK(BM_FairDistribution)
-    ->Args({32, 32, 0})
-    ->Args({32, 32, 1})
-    ->Args({32, 32, 2})
-    ->Args({128, 128, 0})
-    ->Args({128, 128, 1})
-    ->Args({128, 128, 2})
-    ->Args({128, 8, 0})
-    ->Args({128, 8, 1})
-    ->Args({128, 8, 2});
+
+void register_tier_benches() {
+  auto* build =
+      benchmark::RegisterBenchmark("BM_Theorem2Build", BM_Theorem2Build);
+  for (const auto& sweep : {square_sweep(), deep_sweep()}) {
+    for (const GridPoint point : sweep) {
+      for (const auto algorithm : kAllColoringAlgorithms) {
+        build->Args({point.d, point.g, static_cast<int>(algorithm)});
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace pops::bench
 
-POPSNET_BENCH_MAIN(pops::bench::print_tables)
+POPSNET_BENCH_MAIN(pops::bench::print_tables,
+                   pops::bench::register_tier_benches)

@@ -79,7 +79,10 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   /// coloring.num_colors) so that class sizes differ by at most one,
   /// using alternating-path swaps that preserve properness. When
   /// num_classes divides the edge count, every class ends up with
-  /// exactly edge_count / num_classes edges.
+  /// exactly edge_count / num_classes edges. The RoutingEngine builds
+  /// its fair distribution directly from H's d-coloring and calls this
+  /// only when d < g and g mod d != 0, to fill the g mod d groups that
+  /// chunking the color classes leaves empty.
   void spread(const BipartiteMultigraph& graph, int num_classes,
               EdgeColoring& coloring);
 

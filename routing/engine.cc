@@ -21,14 +21,15 @@ RoutingEngine::RoutingEngine(const Topology& topo,
                              const RouterOptions& options)
     : topo_(topo),
       options_(options),
-      h_(topo.g(), topo.g()),
-      h_q_(topo.g(), topo.g()) {
+      h_(topo.g(), topo.g()) {
   const int n = topo_.processor_count();
   // Pre-size everything whose final size is known from (d, g) alone,
   // so even the first route call grows as little as possible and the
   // steady state cannot grow at all.
   intermediate_of_.reserve(as_size(n));
-  source_of_edge_.reserve(as_size(n));
+  source_by_color_.reserve(as_size(n));
+  color_cursor_.reserve(as_size(topo_.d()));
+  fair_.color.reserve(as_size(n));
   used_of_group_.reserve(as_size(topo_.g()));
   theorem2_schedule_.reserve(2 * n, theorem2_slots(topo_));
   // Direct schedules: n transmissions over at most d slots.
@@ -144,35 +145,56 @@ void RoutingEngine::build_theorem2(Span<const int> images) {
   POPS_CHECK(coloring_.num_colors == d,
              "Theorem 2: H must be d-edge-colorable");
 
+  // Bucket the sources by H-color (stable counting sort). H is
+  // d-regular on g + g vertices, so every color class is a perfect
+  // matching: color c owns exactly the g slots [c * g, (c + 1) * g) of
+  // source_by_color_, and a source's offset in its bucket is its rank.
+  color_cursor_.resize(as_size(d));
+  for (int c = 0; c < d; ++c) color_cursor_[as_size(c)] = c * g;
+  source_by_color_.resize(as_size(n));
+  for (int source = 0; source < n; ++source) {
+    const int c = coloring_.color[as_size(source)];
+    const int slot = color_cursor_[as_size(c)]++;
+    POPS_CHECK(slot < (c + 1) * g,
+               "Theorem 2: an H color class is not a perfect matching");
+    source_by_color_[as_size(slot)] = source;
+  }
+
+  // Fair distribution straight from the coloring: batch q takes colors
+  // [q * g, (q + 1) * g), and the rank-r packet of color c goes to
+  // intermediate group (c - q * g) * p + min(r / d, p - 1). Every group
+  // is a subset of one color class, i.e. a matching, so its packets
+  // come from distinct source groups and go to distinct destination
+  // groups (Figure 3's two distinctness properties). With d >= g
+  // (p = 1) each batch color is one group of g <= d packets; with
+  // d < g and d | g the g groups hold exactly d packets each.
+  const int p = std::max(1, g / d);
+  fair_.color.resize(as_size(n));
+  for (int c = 0; c < d; ++c) {
+    const int base = (c % g) * p;
+    for (int r = 0; r < g; ++r) {
+      const int source = source_by_color_[as_size(c * g + r)];
+      fair_.color[as_size(source)] = base + std::min(r / d, p - 1);
+    }
+  }
+  if (d < g && g % d != 0) {
+    // One batch (H_q = H), but the last chunk of every color holds
+    // d + g mod d packets and g mod d groups are empty: a proper
+    // g-coloring of H that spread() balances to exactly d per group,
+    // moving only the d * (g mod d) surplus packets.
+    fair_.num_colors = g;
+    colorer_.spread(h_, g, fair_);
+  }
+
   const int batches = (d + g - 1) / g;
   for (int q = 0; q < batches; ++q) {
-    const int color_lo = q * g;
-    const int color_hi = std::min((q + 1) * g, d);
-
-    // H_q: the packets whose H-color falls in this batch. Every group
-    // has exactly one edge per color, so H_q is (color_hi - color_lo)-
-    // regular with degree <= g.
-    h_q_.reset(g, g);
-    source_of_edge_.clear();
-    for (int source = 0; source < n; ++source) {
-      const int c = coloring_.color[as_size(source)];
-      if (c < color_lo || c >= color_hi) continue;
-      h_q_.add_edge(topo_.group_of(source), topo_.group_of(pi(source)));
-      source_of_edge_.push_back(source);
-    }
-
-    // Fair distribution: a proper coloring of H_q balanced onto g
-    // classes. Properness gives the two distinctness properties; the
-    // balanced size (exactly Delta_q <= d per class) is the receiver
-    // capacity of an intermediate group.
-    colorer_.color(h_q_, options_.coloring, fair_);
-    colorer_.spread(h_q_, g, fair_);
-
+    const int begin = q * g * g;
+    const int end = std::min((q + 1) * g, d) * g;
     used_of_group_.assign(as_size(g), 0);
     theorem2_schedule_.begin_slot();  // distribute: slot 2q
-    for (int e = 0; e < h_q_.edge_count(); ++e) {
-      const int source = source_of_edge_[as_size(e)];
-      const int mid_group = fair_.color[as_size(e)];
+    for (int k = begin; k < end; ++k) {
+      const int source = source_by_color_[as_size(k)];
+      const int mid_group = fair_.color[as_size(source)];
       const int mid_index = used_of_group_[as_size(mid_group)]++;
       POPS_CHECK(mid_index < d,
                  "fair distribution overfilled an intermediate group");
@@ -181,8 +203,8 @@ void RoutingEngine::build_theorem2(Span<const int> images) {
       theorem2_schedule_.push(Transmission{source, mid, source});
     }
     theorem2_schedule_.begin_slot();  // deliver: slot 2q + 1
-    for (int e = 0; e < h_q_.edge_count(); ++e) {
-      const int source = source_of_edge_[as_size(e)];
+    for (int k = begin; k < end; ++k) {
+      const int source = source_by_color_[as_size(k)];
       theorem2_schedule_.push(Transmission{
           intermediate_of_[as_size(source)], pi(source), source});
     }
@@ -310,9 +332,9 @@ std::string RoutingEngine::verification_failure() const {
 ScratchFootprint RoutingEngine::scratch_footprint() const {
   ScratchFootprint footprint;
   footprint.units =
-      h_.scratch_capacity() + h_q_.scratch_capacity() +
-      colorer_.scratch_capacity() + coloring_.color.capacity() +
-      fair_.color.capacity() + source_of_edge_.capacity() +
+      h_.scratch_capacity() + colorer_.scratch_capacity() +
+      coloring_.color.capacity() + fair_.color.capacity() +
+      source_by_color_.capacity() + color_cursor_.capacity() +
       used_of_group_.capacity() + intermediate_of_.capacity() +
       theorem2_schedule_.transmission_capacity() +
       theorem2_schedule_.offset_capacity() +

@@ -14,20 +14,22 @@
 //
 // Mei & Rizzi's Theorem 2 construction is oblivious and shape-static
 // for fixed (d, g): H is always d-regular on g + g vertices with
-// exactly n = d * g edges, every batch multigraph H_q has exactly
-// g * batch_width edges, and the schedule always has
-// theorem2_slots(topo) slots of n total transmissions per slot pair.
-// The engine therefore owns every intermediate object — the packet
-// multigraphs, the edge colorings, the fair-distribution scratch, the
-// coupler queues of the direct router, the verification Network of the
-// portfolio, and the emitted FlatSchedules — and rebuilds them in
-// place per permutation. Routing performs no heap allocation at all
-// after one warm-up call per strategy (asserted by tests that compare
-// scratch_footprint() across calls) with every coloring backend: the
-// alternating-path backend runs on flat slot tables, and the
-// divide-and-conquer backends run iteratively over index ranges of
-// one padded edge array inside EdgeColorer, so none of them builds
-// transient subgraphs.
+// exactly n = d * g edges, so each of its d color classes is a perfect
+// matching of g edges, and the schedule always has theorem2_slots(topo)
+// slots. The fair distribution of every batch comes straight from H's
+// one d-coloring: each intermediate group is a chunk of one color
+// class (EdgeColorer::spread only rebalances the d < g, g mod d != 0
+// remainder). The engine therefore owns every intermediate object —
+// the packet multigraph, the edge colorings, the fair-distribution
+// scratch, the coupler queues of the direct router, the verification
+// Network of the portfolio, and the emitted FlatSchedules — and
+// rebuilds them in place per permutation. Routing performs no heap
+// allocation at all after one warm-up call per strategy (asserted by
+// tests that compare scratch_footprint() across calls) with every
+// coloring backend: the alternating-path backend runs on flat slot
+// tables, and the divide-and-conquer backends run iteratively over
+// index ranges of one padded edge array inside EdgeColorer, so none of
+// them builds transient subgraphs.
 #pragma once
 
 #include <iosfwd>
@@ -160,13 +162,15 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   bool warm_verify_ = false;
 
   // --- Theorem 2 scratch ---
-  BipartiteMultigraph h_;    // the packet multigraph H (g x g)
-  BipartiteMultigraph h_q_;  // one batch H_q (g x g)
+  BipartiteMultigraph h_;  // the packet multigraph H (g x g)
   EdgeColorer colorer_;
   EdgeColoring coloring_;  // d-coloring of H
-  EdgeColoring fair_;      // fair distribution of one batch
-  std::vector<int> source_of_edge_;  // H_q edge id -> source processor
-  std::vector<int> used_of_group_;   // intermediates taken per group
+  EdgeColoring fair_;      // source -> intermediate group
+  // Sources bucketed by H-color (CSR with fixed width g): color c owns
+  // [c * g, (c + 1) * g); color_cursor_ is the per-color fill cursor.
+  std::vector<int> source_by_color_;
+  std::vector<int> color_cursor_;
+  std::vector<int> used_of_group_;  // intermediates taken per group
   std::vector<int> intermediate_of_;
   FlatSchedule theorem2_schedule_;
   // Bijectivity check of the Span overload: seen[v] is valid only when

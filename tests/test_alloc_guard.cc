@@ -148,23 +148,28 @@ POPS_TEST(WarmEngineInsideBanIsCleanForEveryColoringBackend) {
   // The positive control: every coloring backend is zero-alloc
   // eligible since the flat kernel rewrite, so a warm engine routes
   // under a live external ban without tripping it — including the
-  // engine's own (now armed) entry-point ban underneath.
+  // engine's own (now armed) entry-point ban underneath. The shapes
+  // cover every fair-distribution path: d == g, d < g with d | g,
+  // d < g with g mod d != 0 (spread), and d > g (several batches).
   for (const auto algorithm : kAllColoringAlgorithms) {
-    const Topology topo(4, 4);
-    RouterOptions options;
-    options.coloring = algorithm;
-    RoutingEngine engine(topo, options);
-    EXPECT_TRUE(engine.zero_alloc_eligible());
-    Rng rng(7);
-    const Permutation warm_up =
-        Permutation::random(topo.processor_count(), rng);
-    engine.route(warm_up, {RouteStrategy::kBest});  // warms all + verifier
-    const Permutation steady =
-        Permutation::random(topo.processor_count(), rng);
-    ScopedAllocationBan ban("test: warm backend route");
-    const FlatSchedule& schedule =
-        engine.route(steady, {RouteStrategy::kBest});
-    EXPECT_TRUE(schedule.slot_count() > 0);
+    for (const auto& [d, g] :
+         {std::pair{4, 4}, {4, 16}, {3, 8}, {8, 3}}) {
+      const Topology topo(d, g);
+      RouterOptions options;
+      options.coloring = algorithm;
+      RoutingEngine engine(topo, options);
+      EXPECT_TRUE(engine.zero_alloc_eligible());
+      Rng rng(7);
+      const Permutation warm_up =
+          Permutation::random(topo.processor_count(), rng);
+      engine.route(warm_up, {RouteStrategy::kBest});  // warms all + verifier
+      const Permutation steady =
+          Permutation::random(topo.processor_count(), rng);
+      ScopedAllocationBan ban("test: warm backend route");
+      const FlatSchedule& schedule =
+          engine.route(steady, {RouteStrategy::kBest});
+      EXPECT_TRUE(schedule.slot_count() > 0);
+    }
   }
 }
 

@@ -8,11 +8,65 @@
 #include "routing/engine.h"
 #include "routing/verify.h"
 #include "support/alloc_guard.h"
+#include "support/format.h"
 #include "support/prng.h"
 #include "tests/testing.h"
 
 namespace pops {
 namespace {
+
+/// "" when every distribute slot of the Theorem 2 schedule is a fair
+/// distribution in the sense of Figure 3, else the first violation.
+/// Per distribute slot, each intermediate group receives at most d
+/// packets, from pairwise distinct source groups and bound for
+/// pairwise distinct destination groups. Also checks that
+/// intermediate_of() names each packet's distribute destination.
+std::string fair_distribution_violation(const Topology& topo,
+                                        const Permutation& pi,
+                                        const FlatSchedule& schedule,
+                                        Span<const int> mids) {
+  const int g = topo.g();
+  // seen_source[mid_group * g + source_group] (and the same for the
+  // destination group) marks a pair already used in this slot.
+  std::vector<int> load(as_size(g));
+  std::vector<bool> seen_source(as_size(g * g));
+  std::vector<bool> seen_destination(as_size(g * g));
+  for (int slot = 0; slot < schedule.slot_count(); slot += 2) {
+    std::fill(load.begin(), load.end(), 0);
+    std::fill(seen_source.begin(), seen_source.end(), false);
+    std::fill(seen_destination.begin(), seen_destination.end(), false);
+    for (const Transmission& t : schedule.slot(slot)) {
+      if (mids[as_size(t.packet)] != t.destination) {
+        return str_cat("slot ", slot, ": packet ", t.packet,
+                       " is distributed to ", t.destination,
+                       " but intermediate_of says ",
+                       mids[as_size(t.packet)]);
+      }
+      const int mid_group = topo.group_of(t.destination);
+      const int source_group = topo.group_of(t.source);
+      const int destination_group = topo.group_of(pi(t.packet));
+      if (++load[as_size(mid_group)] > topo.d()) {
+        return str_cat("slot ", slot, ": intermediate group ", mid_group,
+                       " receives more than d packets");
+      }
+      const int source_pair = mid_group * g + source_group;
+      const int destination_pair = mid_group * g + destination_group;
+      if (seen_source[as_size(source_pair)]) {
+        return str_cat("slot ", slot, ": intermediate group ", mid_group,
+                       " receives two packets from source group ",
+                       source_group);
+      }
+      if (seen_destination[as_size(destination_pair)]) {
+        return str_cat("slot ", slot, ": intermediate group ", mid_group,
+                       " receives two packets for destination group ",
+                       destination_group);
+      }
+      seen_source[as_size(source_pair)] = true;
+      seen_destination[as_size(destination_pair)] = true;
+    }
+  }
+  return "";
+}
 
 POPS_TEST(EngineRoutesTheGridAtTheBound) {
   Rng rng(71);
@@ -33,6 +87,48 @@ POPS_TEST(EngineRoutesTheGridAtTheBound) {
         EXPECT_TRUE(vr.ok);
         if (!vr.ok) {
           EXPECT_EQ(vr.failure, "");  // surface the reason in the log
+        }
+      }
+    }
+  }
+}
+
+POPS_TEST(EngineFairDistributionHoldsOnEveryShape) {
+  // The fair distribution has three paths: d >= g (each batch color is
+  // one intermediate group, possibly over several batches), d < g with
+  // d | g (each color chunked into g / d groups) and d < g with
+  // g mod d != 0 (chunked, then rebalanced by spread). This sweep hits
+  // all three with every coloring backend. d == 1 routes every packet
+  // straight to its destination in one slot, so it only has to verify.
+  Rng rng(76);
+  for (int d = 1; d <= 12; ++d) {
+    for (int g = 1; g <= 24; ++g) {
+      const Topology topo(d, g);
+      const int n = topo.processor_count();
+      std::vector<Permutation> cases;
+      cases.push_back(make_pattern(topo, TrafficPattern::kIdentity));
+      cases.push_back(make_pattern(topo, TrafficPattern::kGroupReversal));
+      cases.push_back(make_pattern(topo, TrafficPattern::kTranspose));
+      cases.push_back(Permutation::random(n, rng));
+      cases.push_back(group_rotation(d, g, g > 1 ? 1 + d % (g - 1) : 0));
+      for (const auto algorithm : kAllColoringAlgorithms) {
+        RouterOptions options;
+        options.coloring = algorithm;
+        RoutingEngine engine(topo, options);
+        for (const Permutation& pi : cases) {
+          const FlatSchedule& flat = engine.route_permutation(pi);
+          EXPECT_EQ(flat.slot_count(), theorem2_slots(topo));
+          const VerificationResult vr = verify_schedule(topo, pi, flat);
+          EXPECT_TRUE(vr.ok);
+          EXPECT_EQ(vr.failure, "");
+          if (d == 1) continue;
+          const std::string violation = fair_distribution_violation(
+              topo, pi, flat, engine.intermediate_of());
+          if (!violation.empty()) {
+            EXPECT_EQ(str_cat(topo.to_string(), " ",
+                              to_string(algorithm), ": ", violation),
+                      "");
+          }
         }
       }
     }
@@ -74,7 +170,7 @@ POPS_TEST(EngineSteadyStateNeverGrowsScratch) {
   // design.
   Rng rng(74);
   for (const auto& [d, g] :
-       {std::pair{1, 8}, {4, 4}, {8, 3}, {3, 8}, {16, 16}}) {
+       {std::pair{1, 8}, {4, 4}, {8, 3}, {3, 8}, {4, 16}, {16, 16}}) {
     const Topology topo(d, g);
     const int n = topo.processor_count();
     RoutingEngine engine(topo);
