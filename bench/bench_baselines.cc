@@ -94,9 +94,8 @@ void print_tables() {
         POPS_CHECK(vr.ok, "portfolio schedule failed: " + vr.failure);
         portfolio_table.add(topo.to_string(), c.name,
                             to_string(engine.last_strategy()),
-                            plan.slot_count(),
-                            engine.theorem2_slot_count(),
-                            engine.direct_slot_count());
+                            plan.slot_count(), theorem2_slots(topo),
+                            engine.direct_max_demand());
       }
     }
     portfolio_table.print(std::cout);

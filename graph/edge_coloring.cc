@@ -1,6 +1,7 @@
 #include "graph/edge_coloring.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace pops {
 
@@ -227,6 +228,10 @@ void EdgeColorer::color_alternating(const BipartiteMultigraph& graph,
   out.color.assign(as_size(graph.edge_count()), -1);
   left_slot_.assign(as_size(graph.left_count()) * as_size(delta), -1);
   right_slot_.assign(as_size(graph.right_count()) * as_size(delta), -1);
+  mask_words_ = (delta + 63) / 64;
+  left_used_.assign(as_size(graph.left_count()) * as_size(mask_words_), 0);
+  right_used_.assign(as_size(graph.right_count()) * as_size(mask_words_),
+                     0);
   // An alternating path visits each vertex at most once.
   path_.reserve(as_size(graph.left_count() + graph.right_count()));
   for (int e = 0; e < graph.edge_count(); ++e) {
@@ -236,14 +241,29 @@ void EdgeColorer::color_alternating(const BipartiteMultigraph& graph,
 
 namespace {
 
-inline int free_color_in(const std::vector<int>& slots, int vertex,
-                         int delta) {
-  const std::size_t base = as_size(vertex) * as_size(delta);
-  for (int c = 0; c < delta; ++c) {
-    if (slots[base + as_size(c)] < 0) return c;
+// Lowest color whose bit is clear in the vertex's used-color mask.
+// Bits at and past delta are never set, so a result >= delta means
+// every color is taken.
+inline int free_color_in(const std::vector<std::uint64_t>& used,
+                         int vertex, int words, int delta) {
+  const std::uint64_t* mask =
+      used.data() + as_size(vertex) * as_size(words);
+  int c = delta;
+  for (int w = 0; w < words; ++w) {
+    const std::uint64_t free = ~mask[w];
+    if (free != 0) {
+      c = w * 64 + __builtin_ctzll(free);
+      break;
+    }
   }
-  POPS_CHECK(false, "no free color at a vertex with degree < Delta");
-  return -1;
+  POPS_CHECK(c < delta, "no free color at a vertex with degree < Delta");
+  return c;
+}
+
+// Flips color c's bit in the vertex's used-color mask.
+inline void toggle_color_bit(std::vector<std::uint64_t>& used, int vertex,
+                             int words, int c) {
+  used[as_size(vertex * words + c / 64)] ^= std::uint64_t{1} << (c % 64);
 }
 
 }  // namespace
@@ -252,8 +272,8 @@ void EdgeColorer::insert_edge(const BipartiteMultigraph& graph,
                               int delta, int e, EdgeColoring& out) {
   const int u = graph.edge(e).left;
   const int v = graph.edge(e).right;
-  const int alpha = free_color_in(left_slot_, u, delta);
-  const int beta = free_color_in(right_slot_, v, delta);
+  const int alpha = free_color_in(left_used_, u, mask_words_, delta);
+  const int beta = free_color_in(right_used_, v, mask_words_, delta);
   if (alpha != beta &&
       right_slot_[as_size(v) * as_size(delta) + as_size(alpha)] >= 0) {
     flip_path(graph, delta, v, alpha, beta, out);
@@ -292,13 +312,28 @@ void EdgeColorer::flip_path(const BipartiteMultigraph& graph, int delta,
   }
   for (const int e : path_) {
     const int c = out.color[as_size(e)] == alpha ? beta : alpha;
-    assign_color(delta, e, graph.edge(e).left, graph.edge(e).right, c,
-                 out);
+    set_slots(delta, e, graph.edge(e).left, graph.edge(e).right, c, out);
+  }
+  // Every interior vertex of the path keeps one alpha and one beta
+  // edge, so only the two ends change their used colors: v and the
+  // far end (vertex, on the side on_right names) each swap one of
+  // alpha/beta for the other.
+  auto& far_used = on_right ? right_used_ : left_used_;
+  for (const int c : {alpha, beta}) {
+    toggle_color_bit(right_used_, v, mask_words_, c);
+    toggle_color_bit(far_used, vertex, mask_words_, c);
   }
 }
 
 void EdgeColorer::assign_color(int delta, int e, int u, int v, int c,
                                EdgeColoring& out) {
+  set_slots(delta, e, u, v, c, out);
+  toggle_color_bit(left_used_, u, mask_words_, c);
+  toggle_color_bit(right_used_, v, mask_words_, c);
+}
+
+void EdgeColorer::set_slots(int delta, int e, int u, int v, int c,
+                            EdgeColoring& out) {
   const std::size_t left_index = as_size(u) * as_size(delta) + as_size(c);
   const std::size_t right_index =
       as_size(v) * as_size(delta) + as_size(c);
@@ -396,6 +431,7 @@ void EdgeColorer::spread(const BipartiteMultigraph& graph,
 
 std::size_t EdgeColorer::scratch_capacity() const {
   return left_slot_.capacity() + right_slot_.capacity() +
+         left_used_.capacity() + right_used_.capacity() +
          path_.capacity() + sizes_.capacity() + slot_a_.capacity() +
          slot_b_.capacity() + walked_.capacity() +
          spread_path_.capacity() + dc_edges_.capacity() +

@@ -7,7 +7,9 @@
 //
 //   * alternating-path: insert edges one by one; on a color clash flip
 //     a two-colored alternating path (O(V*E) worst case, tiny
-//     constants).
+//     constants). Each endpoint's lowest free color comes from a
+//     per-vertex used-color bitmask, one word per 64 colors, so the
+//     lookup costs O(Delta / 64) rather than O(Delta).
 //   * euler-split: recursively halve the graph with Euler splits; peel
 //     one perfect matching whenever the degree is odd
 //     (O(E log Delta) plus the matchings).
@@ -20,6 +22,7 @@
 // non-empty input (0 colors for the empty graph).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "graph/bipartite_multigraph.h"
@@ -96,8 +99,14 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
                    EdgeColoring& out);
   void flip_path(const BipartiteMultigraph& graph, int delta, int v,
                  int alpha, int beta, EdgeColoring& out);
+  /// Colors edge e (u, v) with c, a color free at both ends: slots
+  /// and used-color masks.
   void assign_color(int delta, int e, int u, int v, int c,
                     EdgeColoring& out);
+  /// The slot-table half of assign_color; flip_path updates the masks
+  /// of the path's two ends itself.
+  void set_slots(int delta, int e, int u, int v, int c,
+                 EdgeColoring& out);
 
   // Divide-and-conquer machinery. The recursion is an explicit stack
   // of ranges [lo, hi) of dc_work_ (edge ids into dc_edges_), each
@@ -122,9 +131,14 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
 
   // Alternating-path scratch. The slot arrays are vertex-major flat
   // tables: slot[vertex * delta + color] is the edge with that color
-  // at that vertex, or -1.
+  // at that vertex, or -1. The used-color masks mirror them one bit
+  // per slot, mask_words_ = ceil(delta / 64) words per vertex, so the
+  // lowest free color is a count-trailing-zeros instead of a scan.
   std::vector<int> left_slot_;
   std::vector<int> right_slot_;
+  int mask_words_ = 0;
+  std::vector<std::uint64_t> left_used_;
+  std::vector<std::uint64_t> right_used_;
   std::vector<int> path_;
   // spread() scratch.
   std::vector<int> sizes_;

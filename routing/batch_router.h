@@ -56,9 +56,10 @@ struct BatchRouterConfig {
 
 class BatchRouter {
  public:
-  /// Builds and warms one engine per worker (kBest on a warm-up
-  /// permutation sizes every arena, including the verification
-  /// simulator), then starts the workers. All allocation happens here.
+  /// Builds and warms one engine per worker (one cold kBest call on a
+  /// warm-up permutation builds and verifies both candidates, sizing
+  /// every arena including the verification simulator), then starts
+  /// the workers. All allocation happens here.
   explicit BatchRouter(const Topology& topo,
                        const BatchRouterConfig& config = {});
   /// Completes every queued job, then stops and joins the workers.

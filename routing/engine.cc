@@ -50,18 +50,18 @@ const FlatSchedule& RoutingEngine::route(const Permutation& pi,
     case RouteStrategy::kDirect: {
       const FlatSchedule& schedule = route_direct(pi);
       last_strategy_ = RouteStrategy::kDirect;
-      if (options.verify) verify_or_abort(schedule, pi, "direct");
+      if (options.verify) verify_or_abort(schedule, pi, "route: direct");
       return schedule;
     }
     case RouteStrategy::kTheorem2: {
       const FlatSchedule& schedule = route_permutation(pi);
       last_strategy_ = RouteStrategy::kTheorem2;
-      if (options.verify) verify_or_abort(schedule, pi, "theorem2");
+      if (options.verify) verify_or_abort(schedule, pi, "route: theorem2");
       return schedule;
     }
     case RouteStrategy::kBest: {
-      // route_best executes both candidates on the internal simulator
-      // unconditionally (and records the winner in last_strategy_), so
+      // route_best executes the winner on the internal simulator
+      // unconditionally (and records it in last_strategy_), so
       // options.verify adds nothing here.
       return route_best(pi);
     }
@@ -77,8 +77,7 @@ void RoutingEngine::verify_or_abort(const FlatSchedule& schedule,
   // Cold failure path: composing the diagnostic allocates, and the
   // abort must name the broken schedule, not trip the guard.
   ScopedAllocationAllow allow;
-  POPS_CHECK(false, str_cat("route: ", what,
-                            " schedule failed verification: ",
+  POPS_CHECK(false, str_cat(what, " schedule failed verification: ",
                             verification_failure()));
 }
 
@@ -219,19 +218,16 @@ const FlatSchedule& RoutingEngine::route_direct(const Permutation& pi) {
   // The direct builder never colors, so it is eligible regardless of
   // the configured coloring backend.
   ScopedAllocationBan ban("RoutingEngine::route_direct", warm_direct_);
+  count_coupler_demand(pi);
   build_direct(pi);
   return direct_schedule_;
 }
 
-void RoutingEngine::build_direct(const Permutation& pi) {
+void RoutingEngine::count_coupler_demand(const Permutation& pi) {
   POPS_CHECK(pi.size() == topo_.processor_count(),
              "route_direct: permutation does not fit the topology");
   const int n = topo_.processor_count();
-  const int couplers = topo_.coupler_count();
-
-  // Bucket the packets per coupler (CSR). Sources are enumerated in
-  // order, so each bucket lists its packets by source id.
-  coupler_count_.assign(as_size(couplers), 0);
+  coupler_count_.assign(as_size(topo_.coupler_count()), 0);
   direct_max_demand_ = 0;
   for (int source = 0; source < n; ++source) {
     const int coupler = topo_.coupler(topo_.group_of(pi(source)),
@@ -239,6 +235,14 @@ void RoutingEngine::build_direct(const Permutation& pi) {
     direct_max_demand_ =
         std::max(direct_max_demand_, ++coupler_count_[as_size(coupler)]);
   }
+}
+
+void RoutingEngine::build_direct(const Permutation& pi) {
+  const int n = topo_.processor_count();
+  const int couplers = topo_.coupler_count();
+
+  // Bucket the packets per coupler (CSR) from the counts. Sources are
+  // enumerated in order, so each bucket lists its packets by source id.
   coupler_offset_.assign(as_size(couplers + 1), 0);
   for (int c = 0; c < couplers; ++c) {
     coupler_offset_[as_size(c + 1)] =
@@ -274,30 +278,28 @@ void RoutingEngine::build_direct(const Permutation& pi) {
 }
 
 const FlatSchedule& RoutingEngine::route_best(const Permutation& pi) {
+  const bool warm = warm_direct_ && warm_theorem2_ && warm_verify_;
   ScopedAllocationBan ban("RoutingEngine::route_best",
-                          warm_direct_ && warm_theorem2_ && warm_verify_ &&
-                              zero_alloc_eligible_);
-  build_direct(pi);
-  if (!delivers(direct_schedule_, pi)) {
-    // Cold failure path: composing the diagnostic allocates, and the
-    // abort must name the broken schedule, not trip the guard.
-    ScopedAllocationAllow allow;
-    POPS_CHECK(false,
-               str_cat("route_best: direct candidate failed verification: ",
-                       verification_failure()));
+                          warm && zero_alloc_eligible_);
+  // Both lengths are known before either schedule exists: direct
+  // drains the fullest coupler one packet per slot, and Theorem 2 is
+  // shape-static. Direct wins ties: same length, one hop per packet
+  // and no relay buffering.
+  count_coupler_demand(pi);
+  const bool direct_wins = direct_max_demand_ <= theorem2_slots(topo_);
+  // A cold engine builds and verifies both candidates, so this one
+  // call sizes every arena and later calls may take either branch
+  // under the armed ban.
+  if (direct_wins || !warm) {
+    build_direct(pi);
+    verify_or_abort(direct_schedule_, pi, "route_best: direct candidate");
   }
-  build_theorem2(Span<const int>(pi.images()));
-  if (!delivers(theorem2_schedule_, pi)) {
-    ScopedAllocationAllow allow;
-    POPS_CHECK(
-        false,
-        str_cat("route_best: Theorem 2 candidate failed verification: ",
-                verification_failure()));
+  if (!direct_wins || !warm) {
+    build_theorem2(Span<const int>(pi.images()));
+    verify_or_abort(theorem2_schedule_, pi,
+                    "route_best: Theorem 2 candidate");
   }
-  // Direct wins ties: same length, one hop per packet and no relay
-  // buffering.
-  if (direct_schedule_.slot_count() <=
-      theorem2_schedule_.slot_count()) {
+  if (direct_wins) {
     last_strategy_ = RouteStrategy::kDirect;
     return direct_schedule_;
   }

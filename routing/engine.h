@@ -81,9 +81,10 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// Unified entry point: routes pi with options.strategy and returns
   /// the schedule. options.verify executes the schedule on the
   /// internal strict simulator and aborts on any violation (kBest
-  /// always verifies). options.coloring is ignored — the engine's
-  /// backend is fixed at construction. The returned reference stays
-  /// valid until the next route call on this engine.
+  /// always verifies the schedule it returns). options.coloring is
+  /// ignored — the engine's backend is fixed at construction. The
+  /// returned reference stays valid until the next route call on this
+  /// engine.
   const FlatSchedule& route(const Permutation& pi,
                             const RouteOptions& options = {});
 
@@ -113,14 +114,9 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// slots, where max demand is the largest number of packets sharing
   /// one coupler.
   const FlatSchedule& route_direct(const Permutation& pi);
+  /// Max demand of the last direct or kBest route — set by kBest even
+  /// when Theorem 2 won and no direct schedule was built.
   int direct_max_demand() const { return direct_max_demand_; }
-
-  /// Slot counts of the last direct and Theorem 2 schedules built
-  /// (both candidates after a kBest route).
-  int direct_slot_count() const { return direct_schedule_.slot_count(); }
-  int theorem2_slot_count() const {
-    return theorem2_schedule_.slot_count();
-  }
 
   ScratchFootprint scratch_footprint() const;
 
@@ -131,19 +127,26 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   bool zero_alloc_eligible() const { return zero_alloc_eligible_; }
 
  private:
-  /// Portfolio (kBest): routes pi with both strategies, executes both
-  /// schedules on the engine's internal strict simulator (aborting on
-  /// any violation — the engine never hands out an unverified
-  /// portfolio plan), and returns the shorter one. Ties go to direct.
+  /// Portfolio (kBest): picks the shorter strategy from the two
+  /// lengths known up front — max coupler demand for direct,
+  /// theorem2_slots() for Theorem 2, ties to direct — then builds only
+  /// that schedule and executes it on the engine's internal strict
+  /// simulator (aborting on any violation — the engine never hands out
+  /// an unverified portfolio plan). A cold engine builds and verifies
+  /// both candidates, so one warm-up call sizes every arena.
   const FlatSchedule& route_best(const Permutation& pi);
   void build_theorem2(Span<const int> images);
+  /// Per-coupler packet counts of pi into coupler_count_, and their
+  /// maximum into direct_max_demand_.
+  void count_coupler_demand(const Permutation& pi);
+  /// Direct schedule from the counts of count_coupler_demand(pi).
   void build_direct(const Permutation& pi);
   /// Executes `schedule` on the internal simulator under permutation
   /// traffic pi; true iff every packet was delivered. Allocation-free
   /// once the simulator is warm.
   bool delivers(const FlatSchedule& schedule, const Permutation& pi);
-  /// Aborts with the simulator's diagnostic unless `schedule`
-  /// delivers pi — the RouteOptions::verify path.
+  /// Aborts with the simulator's diagnostic, prefixed by `what`,
+  /// unless `schedule` delivers pi.
   void verify_or_abort(const FlatSchedule& schedule, const Permutation& pi,
                        const char* what);
   /// Why the last delivers() returned false, for abort messages.

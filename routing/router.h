@@ -51,16 +51,17 @@ enum class RouteStrategy {
   /// The paper's two-phase construction: a flat 2 * ceil(d / g) slots
   /// (1 slot when d = 1) for ANY permutation.
   kTheorem2 = 1,
-  /// Run both, verify both on the strict simulator, keep the shorter
-  /// schedule (ties go to direct). Always verified, regardless of
-  /// RouteOptions::verify.
+  /// Pick the shorter of the two from their lengths, known up front
+  /// (max coupler demand vs. theorem2_slots; ties go to direct), then
+  /// build only that schedule and verify it on the strict simulator.
+  /// Always verified, regardless of RouteOptions::verify.
   kBest = 2,
 };
 
 std::string to_string(RouteStrategy strategy);
 
 struct RouterOptions {
-  /// Edge-coloring backend used for both coloring levels.
+  /// Edge-coloring backend for the Theorem 2 coloring of H.
   ColoringAlgorithm coloring = ColoringAlgorithm::kAlternatingPath;
 };
 
@@ -69,8 +70,8 @@ struct RouterOptions {
 struct RouteOptions {
   RouteStrategy strategy = RouteStrategy::kBest;
   /// Execute the schedule on the strict simulator and abort on any
-  /// model violation or misdelivery. kBest verifies both candidates
-  /// unconditionally; for kDirect/kTheorem2 this buys the same
+  /// model violation or misdelivery. kBest verifies the schedule it
+  /// returns unconditionally; for kDirect/kTheorem2 this buys the same
   /// guarantee at the cost of one simulated execution.
   bool verify = false;
   /// Edge-coloring backend for the Theorem 2 construction. Ignored by

@@ -30,20 +30,16 @@ FlatSchedule edited_schedule(const FlatSchedule& schedule, int slots,
   return out;
 }
 
-/// "" when the plans are bitwise equal (h, phase CSR, every
-/// transmission of every slot), else the first difference.
-inline std::string plan_difference(const HRelationPlan& a,
-                                   const HRelationPlan& b) {
-  if (a.h != b.h) return str_cat("h ", a.h, " vs ", b.h);
-  if (a.phase_offsets != b.phase_offsets) return "phase offsets differ";
-  if (a.phase_requests != b.phase_requests) return "phase requests differ";
-  if (a.schedule.slot_count() != b.schedule.slot_count()) {
-    return str_cat("slot count ", a.schedule.slot_count(), " vs ",
-                   b.schedule.slot_count());
+/// "" when the schedules are bitwise equal (every transmission of
+/// every slot), else the first difference.
+inline std::string schedule_difference(const FlatSchedule& a,
+                                       const FlatSchedule& b) {
+  if (a.slot_count() != b.slot_count()) {
+    return str_cat("slot count ", a.slot_count(), " vs ", b.slot_count());
   }
-  for (int s = 0; s < a.schedule.slot_count(); ++s) {
-    const Span<const Transmission> x = a.schedule.slot(s);
-    const Span<const Transmission> y = b.schedule.slot(s);
+  for (int s = 0; s < a.slot_count(); ++s) {
+    const Span<const Transmission> x = a.slot(s);
+    const Span<const Transmission> y = b.slot(s);
     if (x.size() != y.size()) return str_cat("slot ", s, " width differs");
     for (std::size_t i = 0; i < x.size(); ++i) {
       if (x[i].source != y[i].source ||
@@ -54,6 +50,16 @@ inline std::string plan_difference(const HRelationPlan& a,
     }
   }
   return "";
+}
+
+/// "" when the plans are bitwise equal (h, phase CSR, schedule), else
+/// the first difference.
+inline std::string plan_difference(const HRelationPlan& a,
+                                   const HRelationPlan& b) {
+  if (a.h != b.h) return str_cat("h ", a.h, " vs ", b.h);
+  if (a.phase_offsets != b.phase_offsets) return "phase offsets differ";
+  if (a.phase_requests != b.phase_requests) return "phase requests differ";
+  return schedule_difference(a.schedule, b.schedule);
 }
 
 }  // namespace pops::testing

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "perm/families.h"
 #include "pops/patterns.h"
 #include "routing/engine.h"
 #include "serve/traffic_server.h"
@@ -169,6 +170,43 @@ POPS_TEST(WarmEngineInsideBanIsCleanForEveryColoringBackend) {
       const FlatSchedule& schedule =
           engine.route(steady, {RouteStrategy::kBest});
       EXPECT_TRUE(schedule.slot_count() > 0);
+    }
+  }
+}
+
+POPS_TEST(WarmPortfolioTakesEitherLazyBranchUnderBan) {
+  // One cold kBest call builds and verifies both candidates, so it
+  // sizes the arenas of both lazy branches whichever candidate wins
+  // it. Warm on a direct winner, then route a Theorem 2 winner under a
+  // live external ban — and the reverse — for every backend and every
+  // fair-distribution path. Transpose spreads each group over
+  // distinct couplers (direct wins); vector reversal piles whole
+  // groups onto one coupler (Theorem 2 wins).
+  for (const auto algorithm : kAllColoringAlgorithms) {
+    for (const auto& [d, g] :
+         {std::pair{4, 4}, {8, 4}, {3, 8}, {16, 4}}) {
+      const Topology topo(d, g);
+      const Permutation direct_winner =
+          make_pattern(topo, TrafficPattern::kTranspose);
+      const Permutation theorem2_winner =
+          vector_reversal(topo.processor_count());
+      const std::pair<const Permutation*, const Permutation*> orders[] = {
+          {&direct_winner, &theorem2_winner},
+          {&theorem2_winner, &direct_winner}};
+      for (const auto& [warm_up, steady] : orders) {
+        RouterOptions options;
+        options.coloring = algorithm;
+        RoutingEngine engine(topo, options);
+        engine.route(*warm_up, {RouteStrategy::kBest});
+        const RouteStrategy warm_winner = engine.last_strategy();
+        const ScratchFootprint warm = engine.scratch_footprint();
+        {
+          ScopedAllocationBan ban("test: lazy portfolio branch");
+          engine.route(*steady, {RouteStrategy::kBest});
+        }
+        EXPECT_TRUE(engine.last_strategy() != warm_winner);
+        EXPECT_EQ(engine.scratch_footprint(), warm);
+      }
     }
   }
 }

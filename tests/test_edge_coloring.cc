@@ -25,13 +25,31 @@ POPS_TEST(EveryBackendColorsRegularGraphsWithDeltaColors) {
   Rng rng(21);
   for (const auto algorithm : kAllColoringAlgorithms) {
     for (const int n : {2, 5, 8, 16, 32}) {
-      for (const int degree : {1, 2, 3, 4, 7, 8, 13}) {
+      // 63..130 cross the 64-color word boundaries of the
+      // alternating-path backend's used-color masks.
+      for (const int degree : {1, 2, 3, 4, 7, 8, 13, 63, 64, 65, 128, 130}) {
         const BipartiteMultigraph g = random_regular(n, degree, rng);
         const EdgeColoring coloring = color_edges(g, algorithm);
         EXPECT_EQ(coloring.num_colors, degree);
         EXPECT_TRUE(is_valid_edge_coloring(g, coloring));
       }
     }
+  }
+}
+
+POPS_TEST(EveryBackendColorsParallelCopiesOfAMatching) {
+  // d = 256 parallel copies of a perfect matching on 8 + 8 vertices:
+  // the H of group rotation on POPS(256, 8). Every vertex sees all 256
+  // colors, four mask words each, and a linear free-color scan would
+  // be quadratic in d here.
+  BipartiteMultigraph g(8, 8);
+  for (int copy = 0; copy < 256; ++copy) {
+    for (int v = 0; v < 8; ++v) g.add_edge(v, (v + 1) % 8);
+  }
+  for (const auto algorithm : kAllColoringAlgorithms) {
+    const EdgeColoring coloring = color_edges(g, algorithm);
+    EXPECT_EQ(coloring.num_colors, 256);
+    EXPECT_TRUE(is_valid_edge_coloring(g, coloring));
   }
 }
 
@@ -82,28 +100,39 @@ POPS_TEST(EveryBackendHasFlatScratchAcrossSameShapedGraphs) {
   // colorings of same-shaped graphs never grow any colorer-owned
   // scratch — for ALL four backends, now that the divide-and-conquer
   // ones run iteratively over the padded flat edge array instead of
-  // building transient subgraphs.
+  // building transient subgraphs. The Delta = 100 shape needs two
+  // used-color mask words per vertex in the alternating-path backend.
+  struct Shape {
+    int n;
+    int degree;
+    int trials;
+  };
   for (const auto algorithm : kAllColoringAlgorithms) {
-    Rng rng(31);
-    EdgeColorer colorer;
-    EdgeColoring out;
-    {
-      const BipartiteMultigraph warm_up = random_regular(12, 6, rng);
-      colorer.color(warm_up, algorithm, out);
-    }
-    const std::size_t warm = colorer.scratch_capacity();
-    EXPECT_TRUE(warm > 0);
-    for (int trial = 0; trial < 1000; ++trial) {
-      const BipartiteMultigraph g = random_regular(12, 6, rng);
-      colorer.color(g, algorithm, out);
+    for (const Shape shape : {Shape{12, 6, 1000}, Shape{12, 100, 50}}) {
+      Rng rng(31);
+      EdgeColorer colorer;
+      EdgeColoring out;
+      {
+        const BipartiteMultigraph warm_up =
+            random_regular(shape.n, shape.degree, rng);
+        colorer.color(warm_up, algorithm, out);
+      }
+      const std::size_t warm = colorer.scratch_capacity();
+      EXPECT_TRUE(warm > 0);
+      for (int trial = 0; trial < shape.trials; ++trial) {
+        const BipartiteMultigraph g =
+            random_regular(shape.n, shape.degree, rng);
+        colorer.color(g, algorithm, out);
+        EXPECT_EQ(colorer.scratch_capacity(), warm);
+      }
+      // The soak is about capacities; spot-check validity once at the
+      // end so a silently-broken kernel cannot pass as "flat".
+      const BipartiteMultigraph last =
+          random_regular(shape.n, shape.degree, rng);
+      colorer.color(last, algorithm, out);
+      EXPECT_TRUE(is_valid_edge_coloring(last, out));
       EXPECT_EQ(colorer.scratch_capacity(), warm);
     }
-    // The soak is about capacities; spot-check validity once at the
-    // end so a silently-broken kernel cannot pass as "flat".
-    const BipartiteMultigraph last = random_regular(12, 6, rng);
-    colorer.color(last, algorithm, out);
-    EXPECT_TRUE(is_valid_edge_coloring(last, out));
-    EXPECT_EQ(colorer.scratch_capacity(), warm);
   }
 }
 

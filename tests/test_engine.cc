@@ -3,6 +3,9 @@
 // strategy and (b) perform no steady-state heap allocation — asserted
 // by routing repeatedly after a warm-up call and demanding that no
 // engine-owned scratch arena ever grows again.
+#include <algorithm>
+#include <utility>
+
 #include "perm/families.h"
 #include "pops/patterns.h"
 #include "routing/engine.h"
@@ -10,6 +13,7 @@
 #include "support/alloc_guard.h"
 #include "support/format.h"
 #include "support/prng.h"
+#include "tests/plan_util.h"
 #include "tests/testing.h"
 
 namespace pops {
@@ -149,13 +153,68 @@ POPS_TEST(EngineDirectAndBestVerifyAtTheirSlotCounts) {
       EXPECT_TRUE(verify_schedule(topo, pi, direct).ok);
 
       const FlatSchedule& best = engine.route(pi, {RouteStrategy::kBest});
-      EXPECT_EQ(engine.direct_slot_count(), engine.direct_max_demand());
-      EXPECT_EQ(engine.theorem2_slot_count(), theorem2_slots(topo));
       EXPECT_EQ(best.slot_count(),
                 engine.last_strategy() == RouteStrategy::kDirect
-                    ? engine.direct_slot_count()
-                    : engine.theorem2_slot_count());
+                    ? engine.direct_max_demand()
+                    : theorem2_slots(topo));
       EXPECT_TRUE(verify_schedule(topo, pi, best).ok);
+    }
+  }
+}
+
+POPS_TEST(LazyPortfolioMatchesTheShorterCandidateBitwise) {
+  // kBest builds only the winner once warm, picked from the two
+  // lengths known up front. Differential check against a second
+  // engine that builds both candidates explicitly: the portfolio plan
+  // must be bitwise the shorter one (ties to direct), last_strategy()
+  // must name it, and direct_max_demand() must be current even when
+  // Theorem 2 won. Past the first (cold) call the winners alternate,
+  // so every call's lazy branch differs from the previous one's
+  // wherever the shape admits both winners.
+  Rng rng(77);
+  for (const auto& [d, g] : {std::pair{4, 4}, {8, 2}, {2, 8}, {16, 4},
+                             {64, 4}, {3, 8}}) {
+    const Topology topo(d, g);
+    const int n = topo.processor_count();
+    RoutingEngine reference(topo);
+    std::vector<Permutation> direct_wins;
+    std::vector<Permutation> theorem2_wins;
+    std::vector<Permutation> cases;
+    for (int k = 0; k < 4; ++k) cases.push_back(Permutation::random(n, rng));
+    cases.push_back(vector_reversal(n));
+    cases.push_back(group_rotation(d, g, 1));
+    cases.push_back(make_pattern(topo, TrafficPattern::kTranspose));
+    for (Permutation& pi : cases) {
+      const int demand = reference.route(pi, {RouteStrategy::kDirect})
+                             .slot_count();
+      (demand <= theorem2_slots(topo) ? direct_wins : theorem2_wins)
+          .push_back(std::move(pi));
+    }
+    std::vector<const Permutation*> order;
+    for (std::size_t k = 0;
+         k < std::max(direct_wins.size(), theorem2_wins.size()); ++k) {
+      if (k < direct_wins.size()) order.push_back(&direct_wins[k]);
+      if (k < theorem2_wins.size()) order.push_back(&theorem2_wins[k]);
+    }
+
+    RoutingEngine engine(topo);
+    for (const Permutation* pi : order) {
+      const FlatSchedule direct =
+          reference.route(*pi, {RouteStrategy::kDirect, true});
+      const FlatSchedule theorem2 =
+          reference.route(*pi, {RouteStrategy::kTheorem2, true});
+      const bool direct_wins_here =
+          direct.slot_count() <= theorem2.slot_count();
+      const FlatSchedule& best = engine.route(*pi, {RouteStrategy::kBest});
+      const std::string difference = testing::schedule_difference(
+          best, direct_wins_here ? direct : theorem2);
+      if (!difference.empty()) {
+        EXPECT_EQ(str_cat(topo.to_string(), ": ", difference), "");
+      }
+      EXPECT_TRUE(engine.last_strategy() ==
+                  (direct_wins_here ? RouteStrategy::kDirect
+                                    : RouteStrategy::kTheorem2));
+      EXPECT_EQ(engine.direct_max_demand(), direct.slot_count());
     }
   }
 }

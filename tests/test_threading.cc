@@ -32,8 +32,8 @@ POPS_TEST(TwoEnginesOnTwoThreadsRouteDisjointTopologies) {
           Permutation::random(topo.processor_count(), rng);
       const FlatSchedule& schedule =
           engine.route(pi, {RouteStrategy::kBest});
-      // kBest verifies both candidates on the internal simulator
-      // and never exceeds the Theorem 2 bound.
+      // kBest verifies the winner on the internal simulator and
+      // never exceeds the Theorem 2 bound.
       if (schedule.slot_count() < 1 ||
           schedule.slot_count() > theorem2_slots(topo)) {
         ++bad_schedules;
