@@ -1,12 +1,11 @@
 // Experiment E4 — ablation of the 1-factorization bottleneck itself.
 //
-// Times the edge-coloring backends on random Delta-regular bipartite
-// multigraphs over the tier's (n, Delta) sweep, reporting ns/edge. This
-// isolates the Remark 1 cost from the rest of the routing pipeline.
+// Times the alternating-path edge coloring on random Delta-regular
+// bipartite multigraphs over the tier's (n, Delta) sweep, reporting
+// ns/edge. This isolates the Remark 1 cost from the rest of the routing
+// pipeline.
 #include "bench_common.h"
 #include "graph/edge_coloring.h"
-#include "graph/euler_split.h"
-#include "graph/hopcroft_karp.h"
 #include "graph/random.h"
 #include "graph/validation.h"
 #include "support/format.h"
@@ -21,8 +20,7 @@ BipartiteMultigraph random_regular(int n, int degree, Rng& rng) {
   return random_regular_multigraph(n, degree, rng);
 }
 
-double ns_per_edge(const BipartiteMultigraph& g,
-                   ColoringAlgorithm algorithm) {
+double ns_per_edge(const BipartiteMultigraph& g) {
   // Warm reusable colorer: rep 0 sizes the flat scratch, later reps
   // measure the allocation-free steady state the engine actually runs.
   EdgeColorer colorer;
@@ -30,7 +28,7 @@ double ns_per_edge(const BipartiteMultigraph& g,
   double best = 1e99;
   for (int rep = 0; rep < 4; ++rep) {
     Timer timer;
-    colorer.color(g, algorithm, coloring);
+    colorer.color(g, ColoringAlgorithm::kAlternatingPath, coloring);
     if (rep > 0) best = std::min(best, timer.nanos());
     POPS_CHECK(is_valid_edge_coloring(g, coloring),
                "invalid coloring in benchmark");
@@ -41,24 +39,18 @@ double ns_per_edge(const BipartiteMultigraph& g,
 void print_tables() {
   Rng rng(4);
   std::cout << "=== E4: edge coloring, ns/edge on Delta-regular graphs ===\n";
-  Table table({"n", "Delta", "edges", "alternating-path", "euler-split",
-               "matching-peel", "circuit-peel"});
+  Table table({"n", "Delta", "edges", "ns/edge"});
   for (const ColoringPoint point : tier().coloring_grid) {
     const BipartiteMultigraph g =
         random_regular(point.n, point.degree, rng);
-    std::vector<std::string> cells{std::to_string(point.n),
-                                   std::to_string(point.degree),
-                                   std::to_string(g.edge_count())};
-    for (const auto algorithm : kAllColoringAlgorithms) {
-      cells.push_back(format_double(ns_per_edge(g, algorithm), 0));
-    }
-    table.add_row(std::move(cells));
+    table.add_row({std::to_string(point.n), std::to_string(point.degree),
+                   std::to_string(g.edge_count()),
+                   format_double(ns_per_edge(g), 0)});
   }
   table.print(std::cout);
-  std::cout << "Expected shape: per-edge cost of euler-split grows ~log "
-               "Delta;\nmatching-peel grows ~Delta*sqrt(n); "
-               "alternating-path grows with n\n(path lengths) but has the "
-               "smallest constants on small instances.\n\n";
+  std::cout << "Expected shape: per-edge cost grows with n (alternating "
+               "path lengths)\nand only slowly with Delta (one mask word "
+               "per 64 colors).\n\n";
 }
 
 void BM_EdgeColoring(benchmark::State& state) {
@@ -66,59 +58,26 @@ void BM_EdgeColoring(benchmark::State& state) {
   const BipartiteMultigraph g = random_regular(
       static_cast<int>(state.range(0)), static_cast<int>(state.range(1)),
       rng);
-  const auto algorithm = static_cast<ColoringAlgorithm>(state.range(2));
   // Warm reusable colorer, as held by a RoutingEngine: the loop times
-  // the zero-steady-state-allocation path of each backend.
+  // the zero-steady-state-allocation path.
   EdgeColorer colorer;
   EdgeColoring coloring;
-  colorer.color(g, algorithm, coloring);
+  colorer.color(g, ColoringAlgorithm::kAlternatingPath, coloring);
   for (auto _ : state) {
-    colorer.color(g, algorithm, coloring);
+    colorer.color(g, ColoringAlgorithm::kAlternatingPath, coloring);
     benchmark::DoNotOptimize(coloring.color.data());
   }
   state.SetItemsProcessed(state.iterations() * g.edge_count());
   state.counters["edges_per_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations() * g.edge_count()),
       benchmark::Counter::kIsRate);
-  state.SetLabel(to_string(algorithm));
-}
-
-void BM_EulerSplitOnly(benchmark::State& state) {
-  Rng rng(46);
-  const BipartiteMultigraph g = random_regular(
-      static_cast<int>(state.range(0)), static_cast<int>(state.range(1)),
-      rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(euler_split(g));
-  }
-  state.SetItemsProcessed(state.iterations() * g.edge_count());
-}
-
-void BM_PerfectMatching(benchmark::State& state) {
-  Rng rng(47);
-  const BipartiteMultigraph g = random_regular(
-      static_cast<int>(state.range(0)), static_cast<int>(state.range(1)),
-      rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(maximum_matching(g));
-  }
-  state.SetItemsProcessed(state.iterations());  // matchings found
 }
 
 void register_tier_benches() {
   auto* coloring =
       benchmark::RegisterBenchmark("BM_EdgeColoring", BM_EdgeColoring);
-  auto* euler = benchmark::RegisterBenchmark("BM_EulerSplitOnly",
-                                             BM_EulerSplitOnly);
-  auto* matching = benchmark::RegisterBenchmark("BM_PerfectMatching",
-                                                BM_PerfectMatching);
   for (const ColoringPoint point : tier().coloring_grid) {
-    for (const auto algorithm : kAllColoringAlgorithms) {
-      coloring->Args(
-          {point.n, point.degree, static_cast<int>(algorithm)});
-    }
-    euler->Args({point.n, point.degree});
-    matching->Args({point.n, point.degree});
+    coloring->Args({point.n, point.degree});
   }
 }
 

@@ -4,11 +4,10 @@
 // multigraph; O(g^3) or O(g^2 log g) when d <= g, O(dn) or O(n log d)
 // when d > g, depending on the edge-coloring algorithm. We time the
 // whole Theorem 2 build (RoutingEngine::route_permutation: build H,
-// color it, derive the fair distribution, emit the schedule) with each
-// backend on a d == g sweep and a d > g sweep at g = 8; the backends
-// should separate by their asymptotic slopes. Both sweeps are sized
-// from the tier's Theorem 2 axis, and every timed schedule is verified
-// on the strict simulator.
+// color it, derive the fair distribution, emit the schedule) on a
+// d == g sweep and a d > g sweep at g = 8. Both sweeps are sized from
+// the tier's Theorem 2 axis, and every timed schedule is verified on
+// the strict simulator.
 #include <algorithm>
 #include <vector>
 
@@ -38,11 +37,8 @@ std::vector<GridPoint> deep_sweep() {
 
 /// Best of 5 warm Theorem 2 builds of one random permutation, in
 /// microseconds; the schedule is verified once.
-double build_us(const Topology& topo, ColoringAlgorithm algorithm,
-                Rng& rng) {
-  RouterOptions options;
-  options.coloring = algorithm;
-  RoutingEngine engine(topo, options);
+double build_us(const Topology& topo, Rng& rng) {
+  RoutingEngine engine(topo);
   const Permutation pi = Permutation::random(topo.processor_count(), rng);
   const FlatSchedule& schedule = engine.route_permutation(pi);  // warm-up
   const VerificationResult vr = verify_schedule(topo, pi, schedule);
@@ -60,19 +56,11 @@ double build_us(const Topology& topo, ColoringAlgorithm algorithm,
 
 void print_sweep(const char* key_header, bool key_is_d,
                  const std::vector<GridPoint>& points, Rng& rng) {
-  std::vector<std::string> headers{key_header};
-  for (const auto algorithm : kAllColoringAlgorithms) {
-    headers.push_back(to_string(algorithm) + " us");
-  }
-  Table table(std::move(headers));
+  Table table({key_header, "build us"});
   for (const GridPoint point : points) {
     const Topology topo(point.d, point.g);
-    std::vector<std::string> cells{
-        std::to_string(key_is_d ? point.d : point.g)};
-    for (const auto algorithm : kAllColoringAlgorithms) {
-      cells.push_back(format_double(build_us(topo, algorithm, rng), 1));
-    }
-    table.add_row(std::move(cells));
+    table.add_row({std::to_string(key_is_d ? point.d : point.g),
+                   format_double(build_us(topo, rng), 1)});
   }
   table.print(std::cout);
 }
@@ -83,20 +71,15 @@ void print_tables() {
   print_sweep("g (d=g)", false, square_sweep(), rng);
   std::cout << "\n=== E3b: d > g sweep (g = 8 fixed) ===\n";
   print_sweep("d (g=8)", true, deep_sweep(), rng);
-  std::cout << "Expected shape: matching-peel grows fastest (extra sqrt(n)\n"
-               "factor); euler-split and circuit-peel track each other and\n"
-               "the sub-O(Dm) bounds of Remark 1; alternating-path, the\n"
-               "engine default, usually has the smallest constants on\n"
-               "these dense instances.\n\n";
+  std::cout << "Expected shape: the build grows with n = d * g, the\n"
+               "edge count of H, and stays within the O(dn) bound of\n"
+               "Remark 1.\n\n";
 }
 
 void BM_Theorem2Build(benchmark::State& state) {
   const Topology topo(static_cast<int>(state.range(0)),
                       static_cast<int>(state.range(1)));
-  const auto algorithm = static_cast<ColoringAlgorithm>(state.range(2));
-  RouterOptions options;
-  options.coloring = algorithm;
-  RoutingEngine engine(topo, options);
+  RoutingEngine engine(topo);
   Rng rng(44);
   const Permutation pi = Permutation::random(topo.processor_count(), rng);
   engine.route_permutation(pi);  // warm the scratch arenas
@@ -106,18 +89,13 @@ void BM_Theorem2Build(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());  // permutations routed
   state.counters["perms_per_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-  state.SetLabel(to_string(algorithm));
 }
 
 void register_tier_benches() {
   auto* build =
       benchmark::RegisterBenchmark("BM_Theorem2Build", BM_Theorem2Build);
   for (const auto& sweep : {square_sweep(), deep_sweep()}) {
-    for (const GridPoint point : sweep) {
-      for (const auto algorithm : kAllColoringAlgorithms) {
-        build->Args({point.d, point.g, static_cast<int>(algorithm)});
-      }
-    }
+    for (const GridPoint point : sweep) build->Args({point.d, point.g});
   }
 }
 

@@ -5,227 +5,12 @@
 
 namespace pops {
 
-std::string to_string(ColoringAlgorithm algorithm) {
-  switch (algorithm) {
-    case ColoringAlgorithm::kAlternatingPath:
-      return "alternating-path";
-    case ColoringAlgorithm::kEulerSplit:
-      return "euler-split";
-    case ColoringAlgorithm::kMatchingPeel:
-      return "matching-peel";
-    case ColoringAlgorithm::kCircuitPeel:
-      return "circuit-peel";
-  }
-  POPS_CHECK(false, "unknown ColoringAlgorithm");
-  return "";
-}
-
 void EdgeColorer::color(const BipartiteMultigraph& graph,
-                        ColoringAlgorithm algorithm, EdgeColoring& out) {
+                        ColoringAlgorithm, EdgeColoring& out) {
   const int delta = graph.max_degree();
-  if (delta == 0) {
-    out.color.clear();
-    out.num_colors = 0;
-    return;
-  }
-  switch (algorithm) {
-    case ColoringAlgorithm::kAlternatingPath:
-      color_alternating(graph, delta, out);
-      return;
-    case ColoringAlgorithm::kEulerSplit:
-      color_dnc(graph, delta, /*bottom_degree=*/1, out);
-      return;
-    case ColoringAlgorithm::kMatchingPeel:
-      color_matching_peel(graph, delta, out);
-      return;
-    case ColoringAlgorithm::kCircuitPeel:
-      color_dnc(graph, delta, /*bottom_degree=*/2, out);
-      return;
-  }
-  POPS_CHECK(false, "unknown ColoringAlgorithm");
-}
-
-// ---------------------------------------------------------------------
-// Divide-and-conquer backends on flat scratch.
-//
-// setup_regular pads the input to a delta-regular multigraph on
-// max(L, R) + max(L, R) vertices inside dc_edges_ (original edge ids
-// preserved, dummy edges get ids >= edge_count). From then on every
-// step works on a range [lo, hi) of dc_work_, a permutation of padded
-// edge ids: Euler splits partition a range in place, matching peels
-// compact it, and an explicit DncRange stack replaces the recursion.
-// ---------------------------------------------------------------------
-
-int EdgeColorer::setup_regular(const BipartiteMultigraph& graph,
-                               int delta) {
-  const int n = std::max(graph.left_count(), graph.right_count());
-  const int m = graph.edge_count();
-  const int m_pad = delta * n;
-  regular_n_ = n;
-  dc_edges_.resize(as_size(m_pad));
-  dc_deg_left_.assign(as_size(n), 0);
-  dc_deg_right_.assign(as_size(n), 0);
-  const Edge* src = graph.edges().data();
-  Edge* edges = dc_edges_.data();
-  int* deg_left = dc_deg_left_.data();
-  int* deg_right = dc_deg_right_.data();
-  for (int e = 0; e < m; ++e) {
-    edges[e] = src[e];
-    ++deg_left[src[e].left];
-    ++deg_right[src[e].right];
-  }
-  int next_id = m;
-  int right = 0;
-  for (int left = 0; left < n; ++left) {
-    while (deg_left[left] < delta) {
-      while (right < n && deg_right[right] >= delta) ++right;
-      POPS_CHECK(right < n,
-                 "regularize: right side has no deficit left");
-      edges[next_id++] = Edge{left, right};
-      ++deg_left[left];
-      ++deg_right[right];
-    }
-  }
-  POPS_CHECK(next_id == m_pad, "regularize: padded edge count mismatch");
-  dc_color_.assign(as_size(m_pad), -1);
-  dc_work_.resize(as_size(m_pad));
-  for (int e = 0; e < m_pad; ++e) dc_work_[as_size(e)] = e;
-  dc_aux_.resize(as_size(m_pad));
-  dc_side_.resize(as_size(m_pad));
-  return m_pad;
-}
-
-void EdgeColorer::build_range_view(int lo, int hi) {
-  dc_adj_.build_subset(
-      Span<const int>(dc_work_.data() + lo, as_size(hi - lo)),
-      Span<const Edge>(dc_edges_), regular_n_, regular_n_);
-}
-
-// Euler-splits the range's edges, writing dc_side_[edge id] for every
-// edge in [lo, hi).
-void EdgeColorer::split_range(int lo, int hi) {
-  build_range_view(lo, hi);
-  dc_euler_.split(dc_adj_, Span<const Edge>(dc_edges_),
-                  Span<int>(dc_side_));
-}
-
-// Peels one perfect matching off the range (a regular bipartite
-// multigraph always has one), colors the matched edges, compacts the
-// rest to the front, and returns the new range end.
-int EdgeColorer::peel_matching(int lo, int hi, int color_value) {
-  build_range_view(lo, hi);
-  const int size =
-      dc_matching_.match(dc_adj_, Span<const Edge>(dc_edges_));
-  POPS_CHECK(size == regular_n_,
-             "regular multigraph without a perfect matching");
-  const int* match_left = dc_matching_.left_edges().data();
-  const Edge* edges = dc_edges_.data();
-  int* color = dc_color_.data();
-  int* work = dc_work_.data();
-  int write = lo;
-  for (int i = lo; i < hi; ++i) {
-    const int e = work[i];
-    if (match_left[edges[e].left] == e) {
-      color[e] = color_value;
-    } else {
-      work[write++] = e;
-    }
-  }
-  return write;
-}
-
-void EdgeColorer::color_dnc(const BipartiteMultigraph& graph, int delta,
-                            int bottom_degree, EdgeColoring& out) {
-  const int m_pad = setup_regular(graph, delta);
-  dc_stack_.reserve(64);
-  dc_stack_.clear();
-  if (m_pad > 0) dc_stack_.push_back(DncRange{0, m_pad, delta, 0});
-  int* color = dc_color_.data();
-  int* work = dc_work_.data();
-  const int* side = dc_side_.data();
-  while (!dc_stack_.empty()) {
-    const DncRange range = dc_stack_.back();
-    dc_stack_.pop_back();
-    if (range.lo >= range.hi) continue;
-    if (range.delta == 1) {
-      for (int i = range.lo; i < range.hi; ++i) {
-        color[work[i]] = range.base;
-      }
-      continue;
-    }
-    if (range.delta == 2 && bottom_degree == 2) {
-      // 2-regular components are even circuits; alternation along each
-      // circuit is a proper 2-coloring.
-      split_range(range.lo, range.hi);
-      for (int i = range.lo; i < range.hi; ++i) {
-        const int e = work[i];
-        color[e] = range.base + side[e];
-      }
-      continue;
-    }
-    if (range.delta % 2 == 1) {
-      // Peel one perfect matching, then continue on the even-degree
-      // remainder.
-      const int new_hi = peel_matching(range.lo, range.hi,
-                                       range.base + range.delta - 1);
-      dc_stack_.push_back(
-          DncRange{range.lo, new_hi, range.delta - 1, range.base});
-      continue;
-    }
-    // Even degree: Euler split into two exactly (delta/2)-regular
-    // halves; stable-partition the work range by side (side 0 compacts
-    // in place, side 1 spills through dc_aux_).
-    split_range(range.lo, range.hi);
-    int* aux = dc_aux_.data();
-    int write = range.lo;
-    int spill = 0;
-    for (int i = range.lo; i < range.hi; ++i) {
-      const int e = work[i];
-      if (side[e] == 0) {
-        work[write++] = e;
-      } else {
-        aux[spill++] = e;
-      }
-    }
-    std::copy(aux, aux + spill, work + write);
-    const int mid = write;
-    POPS_CHECK(mid - range.lo == (range.hi - range.lo) / 2,
-               "euler split: uneven halves of a regular range");
-    dc_stack_.push_back(DncRange{mid, range.hi, range.delta / 2,
-                                 range.base + range.delta / 2});
-    dc_stack_.push_back(
-        DncRange{range.lo, mid, range.delta / 2, range.base});
-  }
-  finish_dnc(graph, delta, out);
-}
-
-void EdgeColorer::color_matching_peel(const BipartiteMultigraph& graph,
-                                      int delta, EdgeColoring& out) {
-  int hi = setup_regular(graph, delta);
-  for (int round = 0; round < delta; ++round) {
-    hi = peel_matching(0, hi, round);
-  }
-  POPS_CHECK(hi == 0, "matching peel left uncolored edges");
-  finish_dnc(graph, delta, out);
-}
-
-// Drops the dummy padding edges (their ids come after the real ones).
-void EdgeColorer::finish_dnc(const BipartiteMultigraph& graph, int delta,
-                             EdgeColoring& out) {
-  out.color.assign(dc_color_.begin(),
-                   dc_color_.begin() + graph.edge_count());
-  out.num_colors = delta;
-}
-
-// ---------------------------------------------------------------------
-// Alternating-path backend (constructive König proof) on reusable flat
-// scratch, plus the fair-distribution rebalancer.
-// ---------------------------------------------------------------------
-
-void EdgeColorer::color_alternating(const BipartiteMultigraph& graph,
-                                    int delta, EdgeColoring& out) {
   out.num_colors = delta;
   out.color.assign(as_size(graph.edge_count()), -1);
+  if (delta == 0) return;
   left_slot_.assign(as_size(graph.left_count()) * as_size(delta), -1);
   right_slot_.assign(as_size(graph.right_count()) * as_size(delta), -1);
   mask_words_ = (delta + 63) / 64;
@@ -434,19 +219,13 @@ std::size_t EdgeColorer::scratch_capacity() const {
          left_used_.capacity() + right_used_.capacity() +
          path_.capacity() + sizes_.capacity() + slot_a_.capacity() +
          slot_b_.capacity() + walked_.capacity() +
-         spread_path_.capacity() + dc_edges_.capacity() +
-         dc_color_.capacity() + dc_work_.capacity() +
-         dc_aux_.capacity() + dc_side_.capacity() +
-         dc_deg_left_.capacity() + dc_deg_right_.capacity() +
-         dc_stack_.capacity() + dc_adj_.scratch_capacity() +
-         dc_euler_.scratch_capacity() + dc_matching_.scratch_capacity();
+         spread_path_.capacity();
 }
 
-EdgeColoring color_edges(const BipartiteMultigraph& graph,
-                         ColoringAlgorithm algorithm) {
+EdgeColoring color_edges(const BipartiteMultigraph& graph) {
   EdgeColorer colorer;
   EdgeColoring out;
-  colorer.color(graph, algorithm, out);
+  colorer.color(graph, ColoringAlgorithm::kAlternatingPath, out);
   return out;
 }
 

@@ -1,52 +1,29 @@
 // Proper edge coloring of bipartite multigraphs with Delta colors.
 //
 // König's theorem: the chromatic index of a bipartite multigraph equals
-// its maximum degree Delta. The constructive proofs become the three
-// classic algorithm families the paper's Remark 1 leans on, plus a
-// circuit-peeling variant:
+// its maximum degree Delta. The paper's Remark 1 needs only some
+// proper Delta-coloring of H; this file implements one, the
+// alternating-path construction from König's proof: insert edges one
+// by one, and on a color clash flip a two-colored alternating path
+// (O(V * E) worst case, tiny constants). Each endpoint's lowest free
+// color comes from a per-vertex used-color bitmask, one word per 64
+// colors, so the lookup costs O(Delta / 64) rather than O(Delta).
 //
-//   * alternating-path: insert edges one by one; on a color clash flip
-//     a two-colored alternating path (O(V*E) worst case, tiny
-//     constants). Each endpoint's lowest free color comes from a
-//     per-vertex used-color bitmask, one word per 64 colors, so the
-//     lookup costs O(Delta / 64) rather than O(Delta).
-//   * euler-split: recursively halve the graph with Euler splits; peel
-//     one perfect matching whenever the degree is odd
-//     (O(E log Delta) plus the matchings).
-//   * matching-peel: peel Delta perfect matchings with Hopcroft-Karp
-//     (O(Delta * E * sqrt(V))).
-//   * circuit-peel: like euler-split but bottoms out at degree 2,
-//     two-coloring each remaining circuit by alternation.
-//
-// All backends return a coloring with exactly Delta colors for every
-// non-empty input (0 colors for the empty graph).
+// The coloring has exactly Delta colors for every non-empty input (0
+// colors for the empty graph).
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "graph/bipartite_multigraph.h"
-#include "graph/euler_split.h"
-#include "graph/hopcroft_karp.h"
 #include "support/thread_annotations.h"
 
 namespace pops {
 
+/// The edge-coloring algorithm: alternating-path is the only one.
 enum class ColoringAlgorithm {
   kAlternatingPath = 0,
-  kEulerSplit = 1,
-  kMatchingPeel = 2,
-  kCircuitPeel = 3,
 };
-
-inline constexpr ColoringAlgorithm kAllColoringAlgorithms[] = {
-    ColoringAlgorithm::kAlternatingPath,
-    ColoringAlgorithm::kEulerSplit,
-    ColoringAlgorithm::kMatchingPeel,
-    ColoringAlgorithm::kCircuitPeel,
-};
-
-std::string to_string(ColoringAlgorithm algorithm);
 
 struct EdgeColoring {
   /// color[e] in [0, num_colors) for every edge id e.
@@ -60,12 +37,8 @@ struct EdgeColoring {
 /// are written into caller-provided EdgeColoring storage, whose
 /// capacity is likewise reused across calls.
 ///
-/// Every backend runs on flat scratch. The alternating-path backend
-/// uses vertex-major color-slot tables; the divide-and-conquer
-/// backends (euler-split, matching-peel, circuit-peel) run iteratively
-/// over index ranges of one padded delta-regular edge array, rebuilding
-/// a CsrAdjacency view per range instead of copying subgraphs — no
-/// transient BipartiteMultigraph, no per-recursion vectors.
+/// The colorer runs on flat vertex-major color-slot tables, with no
+/// transient subgraphs.
 ///
 /// Thread-compatible, not thread-safe: the scratch tables make every
 /// call a mutation, so use one colorer per thread (see
@@ -73,9 +46,9 @@ struct EdgeColoring {
 class POPS_THREAD_COMPATIBLE EdgeColorer {
  public:
   /// Properly colors `graph` with max_degree colors into `out`
-  /// (out.color is resized in place).
-  void color(const BipartiteMultigraph& graph,
-             ColoringAlgorithm algorithm, EdgeColoring& out);
+  /// (out.color is resized in place). ColoringAlgorithm has one value.
+  void color(const BipartiteMultigraph& graph, ColoringAlgorithm,
+             EdgeColoring& out);
 
   /// In-place fair distribution: rebalances `coloring` (a proper
   /// coloring of `graph`) onto num_classes classes (num_classes >=
@@ -93,8 +66,6 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   std::size_t scratch_capacity() const;
 
  private:
-  void color_alternating(const BipartiteMultigraph& graph, int delta,
-                         EdgeColoring& out);
   void insert_edge(const BipartiteMultigraph& graph, int delta, int e,
                    EdgeColoring& out);
   void flip_path(const BipartiteMultigraph& graph, int delta, int v,
@@ -108,28 +79,7 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   void set_slots(int delta, int e, int u, int v, int c,
                  EdgeColoring& out);
 
-  // Divide-and-conquer machinery. The recursion is an explicit stack
-  // of ranges [lo, hi) of dc_work_ (edge ids into dc_edges_), each
-  // delta-regular on the padded vertex set and owning the color block
-  // [base, base + delta).
-  struct DncRange {
-    int lo;
-    int hi;
-    int delta;
-    int base;
-  };
-  int setup_regular(const BipartiteMultigraph& graph, int delta);
-  void build_range_view(int lo, int hi);
-  void split_range(int lo, int hi);
-  int peel_matching(int lo, int hi, int color_value);
-  void color_dnc(const BipartiteMultigraph& graph, int delta,
-                 int bottom_degree, EdgeColoring& out);
-  void color_matching_peel(const BipartiteMultigraph& graph, int delta,
-                           EdgeColoring& out);
-  void finish_dnc(const BipartiteMultigraph& graph, int delta,
-                  EdgeColoring& out);
-
-  // Alternating-path scratch. The slot arrays are vertex-major flat
+  // color() scratch. The slot arrays are vertex-major flat
   // tables: slot[vertex * delta + color] is the edge with that color
   // at that vertex, or -1. The used-color masks mirror them one bit
   // per slot, mask_words_ = ceil(delta / 64) words per vertex, so the
@@ -146,27 +96,11 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   std::vector<int> slot_b_;
   std::vector<char> walked_;
   std::vector<int> spread_path_;
-  // Divide-and-conquer scratch: the padded regularized edge array and
-  // the flat work/side/color arrays the range kernels index into.
-  int regular_n_ = 0;           // padded per-side vertex count
-  std::vector<Edge> dc_edges_;  // real edges first, then padding
-  std::vector<int> dc_color_;   // per padded edge id
-  std::vector<int> dc_work_;    // permutation of padded edge ids
-  std::vector<int> dc_aux_;     // stable-partition spill buffer
-  std::vector<int> dc_side_;    // Euler-split side per padded edge id
-  std::vector<int> dc_deg_left_;
-  std::vector<int> dc_deg_right_;
-  std::vector<DncRange> dc_stack_;
-  CsrAdjacency dc_adj_;
-  EulerSplitKernel dc_euler_;
-  MatchingKernel dc_matching_;
 };
 
 /// Properly colors the edges of any bipartite multigraph with
 /// max_degree colors. Thin wrapper over a transient EdgeColorer.
-EdgeColoring color_edges(
-    const BipartiteMultigraph& graph,
-    ColoringAlgorithm algorithm = ColoringAlgorithm::kAlternatingPath);
+EdgeColoring color_edges(const BipartiteMultigraph& graph);
 
 /// Rebalances a proper coloring onto num_classes classes (num_classes
 /// >= coloring.num_colors) so that class sizes differ by at most one,

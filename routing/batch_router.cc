@@ -12,14 +12,14 @@ BatchRouter::BatchRouter(const Topology& topo,
              "BatchRouter needs a positive queue capacity");
   engines_.reserve(as_size(config.threads));
   // Warm every engine on the launching thread, before any worker
-  // exists: the cold kBest call builds and verifies both candidates,
-  // so all arenas reach their steady-state shapes (which depend only
+  // exists: the cold kBest call builds both candidates and verifies
+  // the winner, so all arenas reach their steady-state shapes (which depend only
   // on the topology, not on the permutation) and each engine arms its
   // own allocation ban. Workers then inherit engines that never
   // allocate again.
   const Permutation warm_up = Permutation::identity(topo.processor_count());
   for (int i = 0; i < config.threads; ++i) {
-    engines_.emplace_back(topo_, config.engine);
+    engines_.emplace_back(topo_);
     engines_.back().route(warm_up, {RouteStrategy::kBest});
   }
   ring_.resize(as_size(config.queue_capacity));

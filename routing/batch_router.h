@@ -50,16 +50,14 @@ struct BatchRouterConfig {
   /// Streaming ring capacity: submit() blocks while this many jobs
   /// are queued and unclaimed.
   int queue_capacity = 256;
-  /// Engine construction options (coloring backend) for every worker.
-  RouterOptions engine;
 };
 
 class BatchRouter {
  public:
   /// Builds and warms one engine per worker (one cold kBest call on a
-  /// warm-up permutation builds and verifies both candidates, sizing
-  /// every arena including the verification simulator), then starts
-  /// the workers. All allocation happens here.
+  /// warm-up permutation builds both candidates and verifies the
+  /// winner, sizing every arena including the verification simulator),
+  /// then starts the workers. All allocation happens here.
   explicit BatchRouter(const Topology& topo,
                        const BatchRouterConfig& config = {});
   /// Completes every queued job, then stops and joins the workers.
@@ -69,9 +67,8 @@ class BatchRouter {
 
   /// Routes perms[i] into results[i] for every i; blocks until the
   /// whole batch is done. Every worker routes with `options` on its
-  /// own engine (options.coloring is ignored — the backend was fixed
-  /// by BatchRouterConfig::engine). Results are bitwise identical to
-  /// routing the same permutations sequentially on one engine.
+  /// own engine. Results are bitwise identical to routing the same
+  /// permutations sequentially on one engine.
   /// Concurrent route_batch calls are serialized.
   void route_batch(Span<const Permutation> perms,
                    Span<FlatSchedule> results,

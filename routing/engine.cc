@@ -17,11 +17,8 @@ std::ostream& operator<<(std::ostream& os,
   return os << footprint.units << " units";
 }
 
-RoutingEngine::RoutingEngine(const Topology& topo,
-                             const RouterOptions& options)
-    : topo_(topo),
-      options_(options),
-      h_(topo.g(), topo.g()) {
+RoutingEngine::RoutingEngine(const Topology& topo)
+    : topo_(topo), h_(topo.g(), topo.g()) {
   const int n = topo_.processor_count();
   // Pre-size everything whose final size is known from (d, g) alone,
   // so even the first route call grows as little as possible and the
@@ -38,10 +35,6 @@ RoutingEngine::RoutingEngine(const Topology& topo,
   coupler_offset_.reserve(as_size(topo_.coupler_count() + 1));
   coupler_queue_.reserve(as_size(n));
   image_seen_stamp_.assign(as_size(n), 0);
-  // Every coloring backend now runs out of flat colorer-owned scratch,
-  // so the zero-allocation contract holds regardless of
-  // options_.coloring.
-  zero_alloc_eligible_ = true;
 }
 
 const FlatSchedule& RoutingEngine::route(const Permutation& pi,
@@ -84,7 +77,7 @@ void RoutingEngine::verify_or_abort(const FlatSchedule& schedule,
 const FlatSchedule& RoutingEngine::route_permutation(
     const Permutation& pi) {
   ScopedAllocationBan ban("RoutingEngine::route_permutation",
-                          warm_theorem2_ && zero_alloc_eligible_);
+                          warm_theorem2_);
   // The Permutation constructor already validated bijectivity.
   build_theorem2(Span<const int>(pi.images()));
   return theorem2_schedule_;
@@ -93,7 +86,7 @@ const FlatSchedule& RoutingEngine::route_permutation(
 const FlatSchedule& RoutingEngine::route_permutation(
     Span<const int> images) {
   ScopedAllocationBan ban("RoutingEngine::route_permutation",
-                          warm_theorem2_ && zero_alloc_eligible_);
+                          warm_theorem2_);
   const int n = topo_.processor_count();
   POPS_CHECK(images.count() == n,
              "route_permutation: image array does not fit the topology");
@@ -140,7 +133,7 @@ void RoutingEngine::build_theorem2(Span<const int> images) {
   for (int source = 0; source < n; ++source) {
     h_.add_edge(topo_.group_of(source), topo_.group_of(pi(source)));
   }
-  colorer_.color(h_, options_.coloring, coloring_);
+  colorer_.color(h_, ColoringAlgorithm::kAlternatingPath, coloring_);
   POPS_CHECK(coloring_.num_colors == d,
              "Theorem 2: H must be d-edge-colorable");
 
@@ -215,8 +208,6 @@ void RoutingEngine::build_theorem2(Span<const int> images) {
 }
 
 const FlatSchedule& RoutingEngine::route_direct(const Permutation& pi) {
-  // The direct builder never colors, so it is eligible regardless of
-  // the configured coloring backend.
   ScopedAllocationBan ban("RoutingEngine::route_direct", warm_direct_);
   count_coupler_demand(pi);
   build_direct(pi);
@@ -279,30 +270,25 @@ void RoutingEngine::build_direct(const Permutation& pi) {
 
 const FlatSchedule& RoutingEngine::route_best(const Permutation& pi) {
   const bool warm = warm_direct_ && warm_theorem2_ && warm_verify_;
-  ScopedAllocationBan ban("RoutingEngine::route_best",
-                          warm && zero_alloc_eligible_);
+  ScopedAllocationBan ban("RoutingEngine::route_best", warm);
   // Both lengths are known before either schedule exists: direct
   // drains the fullest coupler one packet per slot, and Theorem 2 is
   // shape-static. Direct wins ties: same length, one hop per packet
   // and no relay buffering.
   count_coupler_demand(pi);
   const bool direct_wins = direct_max_demand_ <= theorem2_slots(topo_);
-  // A cold engine builds and verifies both candidates, so this one
-  // call sizes every arena and later calls may take either branch
-  // under the armed ban.
-  if (direct_wins || !warm) {
-    build_direct(pi);
-    verify_or_abort(direct_schedule_, pi, "route_best: direct candidate");
-  }
-  if (!direct_wins || !warm) {
-    build_theorem2(Span<const int>(pi.images()));
-    verify_or_abort(theorem2_schedule_, pi,
-                    "route_best: Theorem 2 candidate");
-  }
+  // A cold engine builds both candidates, so this one call sizes every
+  // arena and later calls may take either branch under the armed ban.
+  // Only the winner is verified: the simulator is sized at
+  // construction, so executing the loser would size nothing.
+  if (direct_wins || !warm) build_direct(pi);
+  if (!direct_wins || !warm) build_theorem2(Span<const int>(pi.images()));
   if (direct_wins) {
+    verify_or_abort(direct_schedule_, pi, "route_best: direct candidate");
     last_strategy_ = RouteStrategy::kDirect;
     return direct_schedule_;
   }
+  verify_or_abort(theorem2_schedule_, pi, "route_best: Theorem 2 candidate");
   last_strategy_ = RouteStrategy::kTheorem2;
   return theorem2_schedule_;
 }
@@ -320,7 +306,7 @@ bool RoutingEngine::delivers(const FlatSchedule& schedule,
   net_->load_permutation_traffic(pi);
   const bool delivered = net_->execute(schedule) && net_->all_delivered();
   warm_verify_ = true;
-  net_->ban_steady_allocations(zero_alloc_eligible_);
+  net_->ban_steady_allocations(true);
   return delivered;
 }
 

@@ -25,11 +25,8 @@
 // Network of the portfolio, and the emitted FlatSchedules — and
 // rebuilds them in place per permutation. Routing performs no heap
 // allocation at all after one warm-up call per strategy (asserted by
-// tests that compare scratch_footprint() across calls) with every
-// coloring backend: the alternating-path backend runs on flat slot
-// tables, and the divide-and-conquer backends run iteratively over
-// index ranges of one padded edge array inside EdgeColorer, so none of
-// them builds transient subgraphs.
+// tests that compare scratch_footprint() across calls): the colorer
+// runs on flat slot tables and builds no transient subgraphs.
 #pragma once
 
 #include <iosfwd>
@@ -72,19 +69,17 @@ std::ostream& operator<<(std::ostream& os,
 // BatchRouter discipline); see support/thread_annotations.h.
 class POPS_THREAD_COMPATIBLE RoutingEngine {
  public:
-  explicit RoutingEngine(const Topology& topo,
-                         const RouterOptions& options = {});
+  explicit RoutingEngine(const Topology& topo);
 
   const Topology& topology() const { return topo_; }
-  const RouterOptions& options() const { return options_; }
+  /// The coloring algorithm of H; it has one value.
+  RouterOptions options() const { return {}; }
 
   /// Unified entry point: routes pi with options.strategy and returns
   /// the schedule. options.verify executes the schedule on the
   /// internal strict simulator and aborts on any violation (kBest
-  /// always verifies the schedule it returns). options.coloring is
-  /// ignored — the engine's backend is fixed at construction. The
-  /// returned reference stays valid until the next route call on this
-  /// engine.
+  /// always verifies the schedule it returns). The returned reference
+  /// stays valid until the next route call on this engine.
   const FlatSchedule& route(const Permutation& pi,
                             const RouteOptions& options = {});
 
@@ -120,20 +115,15 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
 
   ScratchFootprint scratch_footprint() const;
 
-  /// True when the engine enforces the zero-allocation contract on its
-  /// route entry points under POPS_ALLOC_GUARD builds. Since the flat
-  /// kernel rewrite every coloring backend qualifies, so this is
-  /// always true; it stays on the API as the contract's name.
-  bool zero_alloc_eligible() const { return zero_alloc_eligible_; }
-
  private:
   /// Portfolio (kBest): picks the shorter strategy from the two
   /// lengths known up front — max coupler demand for direct,
   /// theorem2_slots() for Theorem 2, ties to direct — then builds only
   /// that schedule and executes it on the engine's internal strict
   /// simulator (aborting on any violation — the engine never hands out
-  /// an unverified portfolio plan). A cold engine builds and verifies
-  /// both candidates, so one warm-up call sizes every arena.
+  /// an unverified portfolio plan). A cold engine builds both
+  /// candidates, so one warm-up call sizes every arena; it too verifies
+  /// only the winner.
   const FlatSchedule& route_best(const Permutation& pi);
   void build_theorem2(Span<const int> images);
   /// Per-coupler packet counts of pi into coupler_count_, and their
@@ -153,13 +143,11 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   std::string verification_failure() const;
 
   Topology topo_;
-  RouterOptions options_;
-  bool zero_alloc_eligible_ = false;
 
   // One warm-up call per strategy sizes that strategy's arenas; from
   // the second call on, the entry point arms a ScopedAllocationBan on
-  // itself (when eligible), so the steady-state contract is enforced
-  // at runtime rather than inferred from footprint snapshots.
+  // itself, so the steady-state contract is enforced at runtime rather
+  // than inferred from footprint snapshots.
   bool warm_theorem2_ = false;
   bool warm_direct_ = false;
   bool warm_verify_ = false;

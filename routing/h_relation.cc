@@ -4,9 +4,8 @@
 
 namespace pops {
 
-HRelationRouter::HRelationRouter(const Topology& topo,
-                                 const RouterOptions& options)
-    : engine_(topo, options),
+HRelationRouter::HRelationRouter(const Topology& topo)
+    : engine_(topo),
       traffic_(topo.processor_count(), topo.processor_count()) {
   const int n = topo.processor_count();
   image_.assign(as_size(n), -1);
@@ -18,13 +17,10 @@ HRelationRouter::HRelationRouter(const Topology& topo,
 void HRelationRouter::reserve(int max_requests, int max_degree) {
   const int n = topology().processor_count();
   // The traffic graph never holds more edges than requests, nor more
-  // than n per unit of degree, nor a vertex of higher degree than the
-  // cap; the coloring never needs a larger color array.
-  const int degree = std::min(max_degree, max_requests);
-  traffic_.reserve_edges(
-      static_cast<int>(std::min<long long>(
-          max_requests, static_cast<long long>(n) * max_degree)),
-      degree);
+  // than n per unit of degree; the coloring never needs a larger color
+  // array.
+  traffic_.reserve_edges(static_cast<int>(std::min<long long>(
+      max_requests, static_cast<long long>(n) * max_degree)));
   coloring_.color.reserve(as_size(max_requests));
   phase_cursor_.reserve(as_size(max_degree));
   plan_.phase_offsets.reserve(as_size(max_degree + 1));
@@ -55,7 +51,8 @@ const HRelationPlan& HRelationRouter::route(Span<const Request> requests) {
   plan_.phase_requests.resize(as_size(request_count));
   if (h == 0) return plan_;
 
-  colorer_.color(traffic_, engine_.options().coloring, coloring_);
+  colorer_.color(traffic_, ColoringAlgorithm::kAlternatingPath,
+                 coloring_);
   POPS_CHECK(coloring_.num_colors == h,
              "König: an h-relation must be h-edge-colorable");
 
@@ -131,9 +128,8 @@ ScratchFootprint HRelationRouter::scratch_footprint() const {
 }
 
 HRelationPlan route_h_relation(const Topology& topo,
-                               const std::vector<Request>& requests,
-                               const RouterOptions& options) {
-  HRelationRouter router(topo, options);
+                               const std::vector<Request>& requests) {
+  HRelationRouter router(topo);
   return router.route(requests);
 }
 

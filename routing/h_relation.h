@@ -62,8 +62,7 @@ struct HRelationPlan {
 // RoutingEngine it owns.
 class POPS_THREAD_COMPATIBLE HRelationRouter {
  public:
-  explicit HRelationRouter(const Topology& topo,
-                           const RouterOptions& options = {});
+  explicit HRelationRouter(const Topology& topo);
 
   const Topology& topology() const { return engine_.topology(); }
 
@@ -100,7 +99,6 @@ class POPS_THREAD_COMPATIBLE HRelationRouter {
 /// One-shot wrapper: routes the relation on a transient HRelationRouter
 /// and returns a copy of its plan.
 HRelationPlan route_h_relation(const Topology& topo,
-                               const std::vector<Request>& requests,
-                               const RouterOptions& options = {});
+                               const std::vector<Request>& requests);
 
 }  // namespace pops

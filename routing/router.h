@@ -8,18 +8,20 @@
 //      groups and g destination groups with one edge per packet, and
 //      properly edge-color it with d colors (Remark 1 / König).
 //   2. Bundle the colors into ceil(d / g) batches of at most g colors.
-//      The edges of one batch form a Delta_q-regular multigraph H_q
-//      with Delta_q <= g. Re-coloring H_q onto g balanced classes (the
-//      "fair distribution") names an intermediate group for every
-//      packet such that, per batch, (a) the packets of one source
-//      group use distinct intermediate groups and (b) the packets
-//      relayed by one intermediate group use distinct destination
-//      groups.
+//      Each color class is a perfect matching of g packets, so the
+//      "fair distribution" comes straight from H's one coloring: every
+//      intermediate group takes a chunk of one color class (floor(g/d)
+//      chunks per color when d < g, one group per color otherwise;
+//      when g mod d != 0, EdgeColorer::spread rebalances the
+//      remainder). That names an intermediate group for every packet
+//      such that, per batch, (a) the packets of one source group use
+//      distinct intermediate groups and (b) the packets relayed by one
+//      intermediate group use distinct destination groups.
 //   3. Batch q then takes exactly two slots: slot 2q ships every
 //      packet of the batch to a private processor of its intermediate
 //      group, slot 2q+1 forwards it to its true destination. All
 //      coupler, transmitter and receiver constraints hold by (a), (b)
-//      and the properness of the colorings.
+//      and the properness of the coloring.
 //
 // One-shot callers use the single entry point
 //
@@ -60,8 +62,9 @@ enum class RouteStrategy {
 
 std::string to_string(RouteStrategy strategy);
 
+/// What RoutingEngine::options() reports: the edge-coloring algorithm
+/// of H, which has one value.
 struct RouterOptions {
-  /// Edge-coloring backend for the Theorem 2 coloring of H.
   ColoringAlgorithm coloring = ColoringAlgorithm::kAlternatingPath;
 };
 
@@ -74,10 +77,6 @@ struct RouteOptions {
   /// returns unconditionally; for kDirect/kTheorem2 this buys the same
   /// guarantee at the cost of one simulated execution.
   bool verify = false;
-  /// Edge-coloring backend for the Theorem 2 construction. Ignored by
-  /// RoutingEngine::route / BatchRouter, whose backend is fixed at
-  /// construction (RouterOptions).
-  ColoringAlgorithm coloring = ColoringAlgorithm::kAlternatingPath;
 };
 
 /// What route() returns: the schedule in the canonical flat layout,

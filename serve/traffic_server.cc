@@ -48,7 +48,7 @@ TrafficServer::TrafficServer(const Topology& topo,
                              const ServerConfig& config)
     : topo_(topo),
       config_(config),
-      router_(topo, config.router),
+      router_(topo),
       net_(topo) {
   POPS_CHECK(config_.max_window_degree >= 1,
              "ServerConfig: max_window_degree must be >= 1");
@@ -83,7 +83,7 @@ TrafficServer::TrafficServer(const Topology& topo,
 void TrafficServer::prime_scratch() {
   // Drive two synthetic worst-shape windows through the full serving
   // path, then zero the counters: one window concentrated on a single
-  // processor (degree cap — deepest adjacency lists and colorer
+  // processor (degree cap — the most colors per vertex in the colorer
   // tables) and one at the demand-count cap (widest traffic graph,
   // coloring and phase arrays). Every later window fits inside one of
   // these shapes, so steady-state serving starts allocation-free

@@ -56,7 +56,6 @@ struct ServerConfig {
   /// Window demand-count cap: the window closes as soon as it holds
   /// this many demands.
   int max_window_demands = 1024;
-  RouterOptions router;
   /// Test-only hook: skip the constructor's arena reserves and priming
   /// windows but still arm the steady-state allocation ban. Under
   /// POPS_ALLOC_GUARD the first real window then trips the guard —

@@ -123,90 +123,56 @@ POPS_TEST(WarmEngineInsideBanIsClean) {
   EXPECT_TRUE(schedule.slot_count() > 0);
 }
 
-POPS_TEST(ColdEngineInsideBanAbortsForEveryColoringBackend) {
-  // Same seeded violation as above, but routed through each
-  // divide-and-conquer backend: the first call must size the flat
-  // D&C scratch (padded edge array, CSR view, kernel arrays), so a
-  // cold route under an external ban aborts for every backend.
-  for (const auto algorithm : kAllColoringAlgorithms) {
-    EXPECT_ABORTS_WITH(
-        {
-          const Topology topo(4, 4);
-          RouterOptions options;
-          options.coloring = algorithm;
-          RoutingEngine engine(topo, options);
-          Rng rng(7);
-          const Permutation pi =
-              Permutation::random(topo.processor_count(), rng);
-          ScopedAllocationBan ban("test: cold backend route");
-          engine.route_permutation(pi);
-        },
-        "banned scope 'test: cold backend route'");
-  }
-}
-
-POPS_TEST(WarmEngineInsideBanIsCleanForEveryColoringBackend) {
-  // The positive control: every coloring backend is zero-alloc
-  // eligible since the flat kernel rewrite, so a warm engine routes
-  // under a live external ban without tripping it — including the
-  // engine's own (now armed) entry-point ban underneath. The shapes
-  // cover every fair-distribution path: d == g, d < g with d | g,
-  // d < g with g mod d != 0 (spread), and d > g (several batches).
-  for (const auto algorithm : kAllColoringAlgorithms) {
-    for (const auto& [d, g] :
-         {std::pair{4, 4}, {4, 16}, {3, 8}, {8, 3}}) {
-      const Topology topo(d, g);
-      RouterOptions options;
-      options.coloring = algorithm;
-      RoutingEngine engine(topo, options);
-      EXPECT_TRUE(engine.zero_alloc_eligible());
-      Rng rng(7);
-      const Permutation warm_up =
-          Permutation::random(topo.processor_count(), rng);
-      engine.route(warm_up, {RouteStrategy::kBest});  // warms all + verifier
-      const Permutation steady =
-          Permutation::random(topo.processor_count(), rng);
-      ScopedAllocationBan ban("test: warm backend route");
-      const FlatSchedule& schedule =
-          engine.route(steady, {RouteStrategy::kBest});
-      EXPECT_TRUE(schedule.slot_count() > 0);
-    }
+POPS_TEST(WarmEngineInsideBanIsCleanOnEveryFairDistributionPath) {
+  // The positive control: a warm engine routes under a live external
+  // ban without tripping it — including the engine's own (now armed)
+  // entry-point ban underneath. The shapes cover every
+  // fair-distribution path: d == g, d < g with d | g, d < g with
+  // g mod d != 0 (spread), and d > g (several batches).
+  for (const auto& [d, g] : {std::pair{4, 4}, {4, 16}, {3, 8}, {8, 3}}) {
+    const Topology topo(d, g);
+    RoutingEngine engine(topo);
+    Rng rng(7);
+    const Permutation warm_up =
+        Permutation::random(topo.processor_count(), rng);
+    engine.route(warm_up, {RouteStrategy::kBest});  // warms all + verifier
+    const Permutation steady =
+        Permutation::random(topo.processor_count(), rng);
+    ScopedAllocationBan ban("test: warm engine route");
+    const FlatSchedule& schedule =
+        engine.route(steady, {RouteStrategy::kBest});
+    EXPECT_TRUE(schedule.slot_count() > 0);
   }
 }
 
 POPS_TEST(WarmPortfolioTakesEitherLazyBranchUnderBan) {
-  // One cold kBest call builds and verifies both candidates, so it
-  // sizes the arenas of both lazy branches whichever candidate wins
-  // it. Warm on a direct winner, then route a Theorem 2 winner under a
-  // live external ban — and the reverse — for every backend and every
+  // One cold kBest call builds both candidates and verifies the
+  // winner, so it sizes the arenas of both lazy branches whichever
+  // candidate wins it. Warm on a direct winner, then route a Theorem 2
+  // winner under a live external ban — and the reverse — on every
   // fair-distribution path. Transpose spreads each group over
   // distinct couplers (direct wins); vector reversal piles whole
   // groups onto one coupler (Theorem 2 wins).
-  for (const auto algorithm : kAllColoringAlgorithms) {
-    for (const auto& [d, g] :
-         {std::pair{4, 4}, {8, 4}, {3, 8}, {16, 4}}) {
-      const Topology topo(d, g);
-      const Permutation direct_winner =
-          make_pattern(topo, TrafficPattern::kTranspose);
-      const Permutation theorem2_winner =
-          vector_reversal(topo.processor_count());
-      const std::pair<const Permutation*, const Permutation*> orders[] = {
-          {&direct_winner, &theorem2_winner},
-          {&theorem2_winner, &direct_winner}};
-      for (const auto& [warm_up, steady] : orders) {
-        RouterOptions options;
-        options.coloring = algorithm;
-        RoutingEngine engine(topo, options);
-        engine.route(*warm_up, {RouteStrategy::kBest});
-        const RouteStrategy warm_winner = engine.last_strategy();
-        const ScratchFootprint warm = engine.scratch_footprint();
-        {
-          ScopedAllocationBan ban("test: lazy portfolio branch");
-          engine.route(*steady, {RouteStrategy::kBest});
-        }
-        EXPECT_TRUE(engine.last_strategy() != warm_winner);
-        EXPECT_EQ(engine.scratch_footprint(), warm);
+  for (const auto& [d, g] : {std::pair{4, 4}, {8, 4}, {3, 8}, {16, 4}}) {
+    const Topology topo(d, g);
+    const Permutation direct_winner =
+        make_pattern(topo, TrafficPattern::kTranspose);
+    const Permutation theorem2_winner =
+        vector_reversal(topo.processor_count());
+    const std::pair<const Permutation*, const Permutation*> orders[] = {
+        {&direct_winner, &theorem2_winner},
+        {&theorem2_winner, &direct_winner}};
+    for (const auto& [warm_up, steady] : orders) {
+      RoutingEngine engine(topo);
+      engine.route(*warm_up, {RouteStrategy::kBest});
+      const RouteStrategy warm_winner = engine.last_strategy();
+      const ScratchFootprint warm = engine.scratch_footprint();
+      {
+        ScopedAllocationBan ban("test: lazy portfolio branch");
+        engine.route(*steady, {RouteStrategy::kBest});
       }
+      EXPECT_TRUE(engine.last_strategy() != warm_winner);
+      EXPECT_EQ(engine.scratch_footprint(), warm);
     }
   }
 }

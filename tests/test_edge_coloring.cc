@@ -1,6 +1,6 @@
-// Satellite: unit coverage for color_edges — every backend on random
-// Delta-regular multigraphs (validity + exactly Delta colors) and on
-// degenerate shapes (Delta = 1, n = 1, empty graph).
+// Unit coverage for color_edges on random Delta-regular multigraphs
+// (validity + exactly Delta colors) and on degenerate shapes (Delta = 1,
+// n = 1, empty graph).
 #include "graph/edge_coloring.h"
 #include "graph/validation.h"
 #include "support/prng.h"
@@ -12,32 +12,21 @@ namespace {
 
 using testing::random_regular;
 
-POPS_TEST(AlgorithmNames) {
-  EXPECT_EQ(to_string(ColoringAlgorithm::kAlternatingPath),
-            "alternating-path");
-  EXPECT_EQ(to_string(ColoringAlgorithm::kEulerSplit), "euler-split");
-  EXPECT_EQ(to_string(ColoringAlgorithm::kMatchingPeel),
-            "matching-peel");
-  EXPECT_EQ(to_string(ColoringAlgorithm::kCircuitPeel), "circuit-peel");
-}
-
-POPS_TEST(EveryBackendColorsRegularGraphsWithDeltaColors) {
+POPS_TEST(ColorsRegularGraphsWithDeltaColors) {
   Rng rng(21);
-  for (const auto algorithm : kAllColoringAlgorithms) {
-    for (const int n : {2, 5, 8, 16, 32}) {
-      // 63..130 cross the 64-color word boundaries of the
-      // alternating-path backend's used-color masks.
-      for (const int degree : {1, 2, 3, 4, 7, 8, 13, 63, 64, 65, 128, 130}) {
-        const BipartiteMultigraph g = random_regular(n, degree, rng);
-        const EdgeColoring coloring = color_edges(g, algorithm);
-        EXPECT_EQ(coloring.num_colors, degree);
-        EXPECT_TRUE(is_valid_edge_coloring(g, coloring));
-      }
+  for (const int n : {2, 5, 8, 16, 32}) {
+    // 63..130 cross the 64-color word boundaries of the used-color
+    // masks.
+    for (const int degree : {1, 2, 3, 4, 7, 8, 13, 63, 64, 65, 128, 130}) {
+      const BipartiteMultigraph g = random_regular(n, degree, rng);
+      const EdgeColoring coloring = color_edges(g);
+      EXPECT_EQ(coloring.num_colors, degree);
+      EXPECT_TRUE(is_valid_edge_coloring(g, coloring));
     }
   }
 }
 
-POPS_TEST(EveryBackendColorsParallelCopiesOfAMatching) {
+POPS_TEST(ColorsParallelCopiesOfAMatching) {
   // d = 256 parallel copies of a perfect matching on 8 + 8 vertices:
   // the H of group rotation on POPS(256, 8). Every vertex sees all 256
   // colors, four mask words each, and a linear free-color scan would
@@ -46,93 +35,83 @@ POPS_TEST(EveryBackendColorsParallelCopiesOfAMatching) {
   for (int copy = 0; copy < 256; ++copy) {
     for (int v = 0; v < 8; ++v) g.add_edge(v, (v + 1) % 8);
   }
-  for (const auto algorithm : kAllColoringAlgorithms) {
-    const EdgeColoring coloring = color_edges(g, algorithm);
-    EXPECT_EQ(coloring.num_colors, 256);
+  const EdgeColoring coloring = color_edges(g);
+  EXPECT_EQ(coloring.num_colors, 256);
+  EXPECT_TRUE(is_valid_edge_coloring(g, coloring));
+}
+
+POPS_TEST(HandlesDegenerateShapes) {
+  // Empty graph: zero colors.
+  const BipartiteMultigraph empty(3, 4);
+  const EdgeColoring none = color_edges(empty);
+  EXPECT_EQ(none.num_colors, 0);
+  EXPECT_TRUE(is_valid_edge_coloring(empty, none));
+
+  // n = 1 with Delta parallel edges: every edge its own color.
+  BipartiteMultigraph bundle(1, 1);
+  for (int k = 0; k < 5; ++k) bundle.add_edge(0, 0);
+  const EdgeColoring rainbow = color_edges(bundle);
+  EXPECT_EQ(rainbow.num_colors, 5);
+  EXPECT_TRUE(is_valid_edge_coloring(bundle, rainbow));
+
+  // Delta = 1 (a partial matching): one color.
+  BipartiteMultigraph matching(4, 4);
+  matching.add_edge(0, 2);
+  matching.add_edge(3, 1);
+  const EdgeColoring mono = color_edges(matching);
+  EXPECT_EQ(mono.num_colors, 1);
+  EXPECT_TRUE(is_valid_edge_coloring(matching, mono));
+}
+
+POPS_TEST(ColorsIrregularGraphs) {
+  // Irregular bipartite multigraphs still get exactly Delta colors.
+  Rng rng(22);
+  for (int trial = 0; trial < 10; ++trial) {
+    BipartiteMultigraph g(6, 9);
+    const int edges = 5 + rng.next_below(30);
+    for (int e = 0; e < edges; ++e) {
+      g.add_edge(rng.next_below(6), rng.next_below(9));
+    }
+    const EdgeColoring coloring = color_edges(g);
+    EXPECT_EQ(coloring.num_colors, g.max_degree());
     EXPECT_TRUE(is_valid_edge_coloring(g, coloring));
   }
 }
 
-POPS_TEST(EveryBackendHandlesDegenerateShapes) {
-  for (const auto algorithm : kAllColoringAlgorithms) {
-    // Empty graph: zero colors.
-    const BipartiteMultigraph empty(3, 4);
-    const EdgeColoring none = color_edges(empty, algorithm);
-    EXPECT_EQ(none.num_colors, 0);
-    EXPECT_TRUE(is_valid_edge_coloring(empty, none));
-
-    // n = 1 with Delta parallel edges: every edge its own color.
-    BipartiteMultigraph bundle(1, 1);
-    for (int k = 0; k < 5; ++k) bundle.add_edge(0, 0);
-    const EdgeColoring rainbow = color_edges(bundle, algorithm);
-    EXPECT_EQ(rainbow.num_colors, 5);
-    EXPECT_TRUE(is_valid_edge_coloring(bundle, rainbow));
-
-    // Delta = 1 (a partial matching): one color.
-    BipartiteMultigraph matching(4, 4);
-    matching.add_edge(0, 2);
-    matching.add_edge(3, 1);
-    const EdgeColoring mono = color_edges(matching, algorithm);
-    EXPECT_EQ(mono.num_colors, 1);
-    EXPECT_TRUE(is_valid_edge_coloring(matching, mono));
-  }
-}
-
-POPS_TEST(EveryBackendColorsIrregularGraphs) {
-  // Irregular bipartite multigraphs still get exactly Delta colors.
-  Rng rng(22);
-  for (const auto algorithm : kAllColoringAlgorithms) {
-    for (int trial = 0; trial < 10; ++trial) {
-      BipartiteMultigraph g(6, 9);
-      const int edges = 5 + rng.next_below(30);
-      for (int e = 0; e < edges; ++e) {
-        g.add_edge(rng.next_below(6), rng.next_below(9));
-      }
-      const EdgeColoring coloring = color_edges(g, algorithm);
-      EXPECT_EQ(coloring.num_colors, g.max_degree());
-      EXPECT_TRUE(is_valid_edge_coloring(g, coloring));
-    }
-  }
-}
-
-POPS_TEST(EveryBackendHasFlatScratchAcrossSameShapedGraphs) {
+POPS_TEST(HasFlatScratchAcrossSameShapedGraphs) {
   // The flatness contract: after one warm-up coloring, repeated
   // colorings of same-shaped graphs never grow any colorer-owned
-  // scratch — for ALL four backends, now that the divide-and-conquer
-  // ones run iteratively over the padded flat edge array instead of
-  // building transient subgraphs. The Delta = 100 shape needs two
-  // used-color mask words per vertex in the alternating-path backend.
+  // scratch. The Delta = 100 shape needs two used-color mask words per
+  // vertex.
   struct Shape {
     int n;
     int degree;
     int trials;
   };
-  for (const auto algorithm : kAllColoringAlgorithms) {
-    for (const Shape shape : {Shape{12, 6, 1000}, Shape{12, 100, 50}}) {
-      Rng rng(31);
-      EdgeColorer colorer;
-      EdgeColoring out;
-      {
-        const BipartiteMultigraph warm_up =
-            random_regular(shape.n, shape.degree, rng);
-        colorer.color(warm_up, algorithm, out);
-      }
-      const std::size_t warm = colorer.scratch_capacity();
-      EXPECT_TRUE(warm > 0);
-      for (int trial = 0; trial < shape.trials; ++trial) {
-        const BipartiteMultigraph g =
-            random_regular(shape.n, shape.degree, rng);
-        colorer.color(g, algorithm, out);
-        EXPECT_EQ(colorer.scratch_capacity(), warm);
-      }
-      // The soak is about capacities; spot-check validity once at the
-      // end so a silently-broken kernel cannot pass as "flat".
-      const BipartiteMultigraph last =
+  for (const Shape shape : {Shape{12, 6, 1000}, Shape{12, 100, 50}}) {
+    Rng rng(31);
+    EdgeColorer colorer;
+    EdgeColoring out;
+    {
+      const BipartiteMultigraph warm_up =
           random_regular(shape.n, shape.degree, rng);
-      colorer.color(last, algorithm, out);
-      EXPECT_TRUE(is_valid_edge_coloring(last, out));
+      colorer.color(warm_up, ColoringAlgorithm::kAlternatingPath, out);
+    }
+    const std::size_t warm = colorer.scratch_capacity();
+    EXPECT_TRUE(warm > 0);
+    for (int trial = 0; trial < shape.trials; ++trial) {
+      const BipartiteMultigraph g =
+          random_regular(shape.n, shape.degree, rng);
+      colorer.color(g, ColoringAlgorithm::kAlternatingPath, out);
       EXPECT_EQ(colorer.scratch_capacity(), warm);
     }
+    // The soak is about capacities; spot-check validity once at the
+    // end so a silently-broken colorer cannot pass as "flat".
+    const BipartiteMultigraph last =
+        random_regular(shape.n, shape.degree, rng);
+    colorer.color(last, ColoringAlgorithm::kAlternatingPath, out);
+    EXPECT_TRUE(is_valid_edge_coloring(last, out));
+    EXPECT_EQ(colorer.scratch_capacity(), warm);
   }
 }
 
@@ -145,6 +124,21 @@ POPS_TEST(ValidationRejectsBrokenColorings) {
 
   EdgeColoring clash{{0, 0}, 2};  // both edges at left 0 share a color
   EXPECT_FALSE(is_valid_edge_coloring(g, clash));
+
+  BipartiteMultigraph right_shared(2, 2);
+  right_shared.add_edge(0, 1);
+  right_shared.add_edge(1, 1);
+  EXPECT_TRUE(is_valid_edge_coloring(right_shared, EdgeColoring{{0, 1}, 2}));
+  // Both edges at right 1 share a color.
+  EXPECT_FALSE(
+      is_valid_edge_coloring(right_shared, EdgeColoring{{1, 1}, 2}));
+
+  BipartiteMultigraph parallel(2, 2);
+  parallel.add_edge(1, 0);
+  parallel.add_edge(1, 0);
+  EXPECT_TRUE(is_valid_edge_coloring(parallel, EdgeColoring{{1, 0}, 2}));
+  // Two parallel edges with the same color.
+  EXPECT_FALSE(is_valid_edge_coloring(parallel, EdgeColoring{{0, 0}, 2}));
 
   EdgeColoring out_of_range{{0, 2}, 2};
   EXPECT_FALSE(is_valid_edge_coloring(g, out_of_range));

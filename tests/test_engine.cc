@@ -102,7 +102,7 @@ POPS_TEST(EngineFairDistributionHoldsOnEveryShape) {
   // one intermediate group, possibly over several batches), d < g with
   // d | g (each color chunked into g / d groups) and d < g with
   // g mod d != 0 (chunked, then rebalanced by spread). This sweep hits
-  // all three with every coloring backend. d == 1 routes every packet
+  // all three. d == 1 routes every packet
   // straight to its destination in one slot, so it only has to verify.
   Rng rng(76);
   for (int d = 1; d <= 12; ++d) {
@@ -115,24 +115,18 @@ POPS_TEST(EngineFairDistributionHoldsOnEveryShape) {
       cases.push_back(make_pattern(topo, TrafficPattern::kTranspose));
       cases.push_back(Permutation::random(n, rng));
       cases.push_back(group_rotation(d, g, g > 1 ? 1 + d % (g - 1) : 0));
-      for (const auto algorithm : kAllColoringAlgorithms) {
-        RouterOptions options;
-        options.coloring = algorithm;
-        RoutingEngine engine(topo, options);
-        for (const Permutation& pi : cases) {
-          const FlatSchedule& flat = engine.route_permutation(pi);
-          EXPECT_EQ(flat.slot_count(), theorem2_slots(topo));
-          const VerificationResult vr = verify_schedule(topo, pi, flat);
-          EXPECT_TRUE(vr.ok);
-          EXPECT_EQ(vr.failure, "");
-          if (d == 1) continue;
-          const std::string violation = fair_distribution_violation(
-              topo, pi, flat, engine.intermediate_of());
-          if (!violation.empty()) {
-            EXPECT_EQ(str_cat(topo.to_string(), " ",
-                              to_string(algorithm), ": ", violation),
-                      "");
-          }
+      RoutingEngine engine(topo);
+      for (const Permutation& pi : cases) {
+        const FlatSchedule& flat = engine.route_permutation(pi);
+        EXPECT_EQ(flat.slot_count(), theorem2_slots(topo));
+        const VerificationResult vr = verify_schedule(topo, pi, flat);
+        EXPECT_TRUE(vr.ok);
+        EXPECT_EQ(vr.failure, "");
+        if (d == 1) continue;
+        const std::string violation = fair_distribution_violation(
+            topo, pi, flat, engine.intermediate_of());
+        if (!violation.empty()) {
+          EXPECT_EQ(str_cat(topo.to_string(), ": ", violation), "");
         }
       }
     }

@@ -79,17 +79,13 @@ POPS_TEST(RoutesUnionOfPermutationsAtTheBudget) {
   }
 }
 
-POPS_TEST(EveryColoringBackendRoutesTheRelation) {
+POPS_TEST(RoutesAUnionOfTwoPermutations) {
   Rng rng(32);
   const Topology topo(4, 4);
   const auto requests = union_of_permutations(topo, 2, rng);
-  for (const auto algorithm : kAllColoringAlgorithms) {
-    RouterOptions options;
-    options.coloring = algorithm;
-    const HRelationPlan plan = route_h_relation(topo, requests, options);
-    EXPECT_EQ(plan.h, 2);
-    EXPECT_EQ(verify_h_relation(topo, requests, plan), "");
-  }
+  const HRelationPlan plan = route_h_relation(topo, requests);
+  EXPECT_EQ(plan.h, 2);
+  EXPECT_EQ(verify_h_relation(topo, requests, plan), "");
 }
 
 POPS_TEST(RoutesUnbalancedRelations) {
