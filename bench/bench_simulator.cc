@@ -92,8 +92,10 @@ void BM_ExecuteFlatSchedule(benchmark::State& state) {
   const FlatSchedule& plan = engine.route_permutation(pi);
   Network net(topo);
   for (auto _ : state) {
+    net.reset();
     net.load_permutation_traffic(pi);
-    net.execute(plan);
+    POPS_CHECK(net.execute(plan) && net.all_delivered(),
+               "benchmark schedule broke");
   }
   state.SetItemsProcessed(state.iterations() * topo.processor_count() *
                           plan.slot_count());
@@ -106,7 +108,7 @@ void BM_Broadcast(benchmark::State& state) {
   Network net(topo);
   for (auto _ : state) {
     net.reset();
-    net.load_packet(Packet{-1, 0, 0, 1, 0});
+    net.load_packet(Packet{-1, 0, 0});
     net.execute_slot(plan);
   }
   state.SetItemsProcessed(state.iterations() * topo.processor_count());

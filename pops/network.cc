@@ -15,52 +15,46 @@ constexpr int kSteadyBufferReserve = 4;
 
 Network::Network(const Topology& topo)
     : topo_(topo),
-      slab_stride_(kSteadyBufferReserve),
       buffer_count_(as_size(topo.processor_count()), 0),
-      slab_id_(as_size(topo.processor_count()) *
-               as_size(kSteadyBufferReserve)),
-      slab_source_(slab_id_.size()),
-      slab_destination_(slab_id_.size()),
-      slab_size_(slab_id_.size()),
-      slab_hops_(slab_id_.size()),
       source_stamp_(as_size(topo.processor_count()), 0),
       coupler_stamp_(as_size(topo.coupler_count()), 0),
       receiver_stamp_(as_size(topo.processor_count()), 0),
       packet_of_source_(as_size(topo.processor_count()), -1),
       source_of_coupler_(as_size(topo.coupler_count()), -1),
       buffer_index_of_source_(as_size(topo.processor_count()), -1),
-      in_flight_(as_size(topo.processor_count())) {
+      handle_of_source_(as_size(topo.processor_count()), -1) {
   touched_sources_.reserve(as_size(topo.processor_count()));
+  grow_stride(kSteadyBufferReserve);
 }
 
 void Network::grow_stride(int new_stride) {
   if (new_stride <= slab_stride_) return;
   const int n = topo_.processor_count();
-  std::vector<int>* slabs[] = {&slab_id_, &slab_source_,
-                               &slab_destination_, &slab_size_,
-                               &slab_hops_};
-  for (std::vector<int>* slab : slabs) {
-    slab->resize(as_size(n) * as_size(new_stride));
-  }
+  const std::size_t capacity = as_size(n) * as_size(new_stride);
+  slab_.resize(capacity);
+  packet_id_.reserve(capacity);
+  packet_source_.reserve(capacity);
+  packet_destination_.reserve(capacity);
   // Shift occupied prefixes back to front: row p's new start is at or
   // past its old start, so later rows are rehomed before earlier rows
   // could overwrite them, and copy_backward handles the in-row overlap.
+  int* data = slab_.data();
   for (int p = n - 1; p > 0; --p) {
     const std::size_t count = as_size(buffer_count_[as_size(p)]);
     if (count == 0) continue;
     const std::size_t old_base = as_size(p) * as_size(slab_stride_);
     const std::size_t new_base = as_size(p) * as_size(new_stride);
-    for (std::vector<int>* slab : slabs) {
-      int* data = slab->data();
-      std::copy_backward(data + old_base, data + old_base + count,
-                         data + new_base + count);
-    }
+    std::copy_backward(data + old_base, data + old_base + count,
+                       data + new_base + count);
   }
   slab_stride_ = new_stride;
 }
 
 void Network::reset() {
   std::fill(buffer_count_.begin(), buffer_count_.end(), 0);
+  packet_id_.clear();
+  packet_source_.clear();
+  packet_destination_.clear();
   packet_count_ = 0;
   stats_ = NetworkStats{};
   failure_.clear();
@@ -69,24 +63,23 @@ void Network::reset() {
 void Network::load_permutation_traffic(const Permutation& pi) {
   POPS_CHECK(pi.size() == topo_.processor_count(),
              "permutation size does not match the topology");
-  // Writes the slab rows directly: one packet per processor always
-  // fits the stride (>= 1), sources are the loop variable, and a
+  // Handle p is processor p's packet, so its id and source are p too.
+  // One packet per processor always fits the stride (>= 1), and a
   // Permutation's images are in range by construction, so the
   // per-packet range checks of load_packet would be dead.
   const int n = pi.size();
+  const std::vector<int>& images = pi.images();
+  packet_destination_.assign(images.begin(), images.end());
+  packet_id_.resize(as_size(n));
+  packet_source_.resize(as_size(n));
   const std::size_t stride = as_size(slab_stride_);
-  int* id = slab_id_.data();
-  int* source_field = slab_source_.data();
-  int* destination = slab_destination_.data();
-  int* size = slab_size_.data();
-  int* hops = slab_hops_.data();
-  for (int source = 0; source < n; ++source) {
-    const std::size_t at = as_size(source) * stride;
-    id[at] = source;
-    source_field[at] = source;
-    destination[at] = pi(source);
-    size[at] = 1;
-    hops[at] = 0;
+  int* slab = slab_.data();
+  int* id = packet_id_.data();
+  int* source = packet_source_.data();
+  for (int p = 0; p < n; ++p) {
+    slab[as_size(p) * stride] = p;
+    id[p] = p;
+    source[p] = p;
   }
   std::fill(buffer_count_.begin(), buffer_count_.end(), 1);
   packet_count_ = n;
@@ -104,11 +97,10 @@ void Network::load_packet(Packet packet) {
   if (count == slab_stride_) grow_stride(2 * slab_stride_);
   const std::size_t at =
       as_size(packet.source) * as_size(slab_stride_) + as_size(count);
-  slab_id_[at] = packet.id;
-  slab_source_[at] = packet.source;
-  slab_destination_[at] = packet.destination;
-  slab_size_[at] = packet.size;
-  slab_hops_[at] = packet.hops;
+  slab_[at] = as_int(packet_id_.size());
+  packet_id_.push_back(packet.id);
+  packet_source_.push_back(packet.source);
+  packet_destination_.push_back(packet.destination);
   buffer_count_[as_size(packet.source)] = count + 1;
   ++packet_count_;
 }
@@ -176,11 +168,12 @@ bool Network::execute_slot(Span<const Transmission> transmissions) {
   }
 
   // Resolve each transmitting processor's packet in its slab row.
-  const int* slab_id = slab_id_.data();
+  const std::size_t stride = as_size(slab_stride_);
+  const int* packet_id = packet_id_.data();
   for (const int source : touched_sources_) {
     const int count = buffer_count_[as_size(source)];
-    const int packet_id = packet_of_source_[as_size(source)];
-    if (packet_id == -1) {
+    const int wanted = packet_of_source_[as_size(source)];
+    if (wanted == -1) {
       if (count != 1) {
         return fail("slot ", slot_index, ": processor ", source,
                     " asked to send 'any' packet but holds ", count);
@@ -188,57 +181,44 @@ bool Network::execute_slot(Span<const Transmission> transmissions) {
       buffer_index_of_source_[as_size(source)] = 0;
       continue;
     }
-    const int* id = slab_id + as_size(source) * as_size(slab_stride_);
+    const int* row = slab_.data() + as_size(source) * stride;
     int found = count;
     for (int i = 0; i < count; ++i) {
-      if (id[i] == packet_id) {
+      if (packet_id[row[i]] == wanted) {
         found = i;
         break;
       }
     }
     if (found == count) {
       return fail("slot ", slot_index, ": processor ", source,
-                  " does not hold packet ", packet_id);
+                  " does not hold packet ", wanted);
     }
     buffer_index_of_source_[as_size(source)] = found;
   }
 
-  // --- Commit pass: withdraw every transmitted packet (swap-and-pop
-  // with the row's last packet — buffer order carries no semantics),
-  // then deliver one copy per tuned receiver. ---
+  // --- Commit pass: withdraw every transmitted handle (swap-and-pop
+  // with the row's last handle — buffer order carries no semantics),
+  // then deliver one copy of it per tuned receiver. ---
   for (const int source : touched_sources_) {
-    const std::size_t base =
-        as_size(source) * as_size(slab_stride_);
-    const std::size_t at =
-        base + as_size(buffer_index_of_source_[as_size(source)]);
-    in_flight_[as_size(source)] =
-        Packet{slab_id_[at], slab_source_[at], slab_destination_[at],
-               slab_size_[at], slab_hops_[at]};
+    int* row = slab_.data() + as_size(source) * stride;
+    const std::size_t at = as_size(buffer_index_of_source_[as_size(source)]);
     const int last = buffer_count_[as_size(source)] - 1;
-    const std::size_t back = base + as_size(last);
-    slab_id_[at] = slab_id_[back];
-    slab_source_[at] = slab_source_[back];
-    slab_destination_[at] = slab_destination_[back];
-    slab_size_[at] = slab_size_[back];
-    slab_hops_[at] = slab_hops_[back];
+    handle_of_source_[as_size(source)] = row[at];
+    row[at] = row[last];
     buffer_count_[as_size(source)] = last;
-    --packet_count_;
   }
+  packet_count_ -= as_int(touched_sources_.size());
   for (const Transmission& t : transmissions) {
-    const Packet& packet = in_flight_[as_size(t.source)];
     const int count = buffer_count_[as_size(t.destination)];
     if (count == slab_stride_) grow_stride(2 * slab_stride_);
     const std::size_t at =
         as_size(t.destination) * as_size(slab_stride_) + as_size(count);
-    slab_id_[at] = packet.id;
-    slab_source_[at] = packet.source;
-    slab_destination_[at] = packet.destination;
-    slab_size_[at] = packet.size;
-    slab_hops_[at] = packet.hops + 1;
+    slab_[at] = handle_of_source_[as_size(t.source)];
     buffer_count_[as_size(t.destination)] = count + 1;
-    ++packet_count_;
-    ++stats_.packets_moved;
   }
+  const int moved = as_int(transmissions.size());
+  packet_count_ += moved;
+  stats_.packets_moved += moved;
 
   stats_.slots_executed += 1;
   stats_.coupler_slots_busy += busy_couplers;
@@ -247,26 +227,25 @@ bool Network::execute_slot(Span<const Transmission> transmissions) {
 }
 
 bool Network::all_delivered() const {
-  const int* destination = slab_destination_.data();
+  const int* destination = packet_destination_.data();
   for (int p = 0; p < topo_.processor_count(); ++p) {
-    const int* row = destination + as_size(p) * as_size(slab_stride_);
+    const int* row = slab_.data() + as_size(p) * as_size(slab_stride_);
     const int count = buffer_count_[as_size(p)];
     for (int i = 0; i < count; ++i) {
-      if (row[i] != p) return false;
+      if (destination[row[i]] != p) return false;
     }
   }
   return true;
 }
 
 std::size_t Network::scratch_capacity() const {
-  return buffer_count_.capacity() + slab_id_.capacity() +
-         slab_source_.capacity() + slab_destination_.capacity() +
-         slab_size_.capacity() + slab_hops_.capacity() +
-         source_stamp_.capacity() + coupler_stamp_.capacity() +
-         receiver_stamp_.capacity() + packet_of_source_.capacity() +
-         source_of_coupler_.capacity() +
-         buffer_index_of_source_.capacity() + in_flight_.capacity() +
-         touched_sources_.capacity();
+  return buffer_count_.capacity() + slab_.capacity() +
+         packet_id_.capacity() + packet_source_.capacity() +
+         packet_destination_.capacity() + source_stamp_.capacity() +
+         coupler_stamp_.capacity() + receiver_stamp_.capacity() +
+         packet_of_source_.capacity() + source_of_coupler_.capacity() +
+         buffer_index_of_source_.capacity() +
+         handle_of_source_.capacity() + touched_sources_.capacity();
 }
 
 void Network::reserve_buffers(int per_processor) {

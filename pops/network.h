@@ -17,11 +17,13 @@
 // them. Every number the benches print comes from a schedule that went
 // through this simulator. Schedules arrive as FlatSchedule slot spans
 // (or one hand-built SlotPlan at a time); all slot bookkeeping lives
-// in stamped scratch arrays owned by the Network, and the packets
-// themselves live in one pooled SoA slab (fixed-stride per-processor
-// regions over five parallel field arrays), so executing a slot
-// strides contiguous memory and performs no heap allocation once the
-// slab is warm.
+// in stamped scratch arrays owned by the Network. Each loaded packet
+// gets an int handle: its id, source and destination are stored once,
+// in per-packet arrays indexed by the handle, and the per-processor
+// buffers (fixed-stride rows of one pooled slab) hold only handles.
+// A slot therefore moves one int per transmission — withdrawal is a
+// swap-and-pop, delivery an append — and performs no heap allocation
+// once the slab is warm.
 #pragma once
 
 #include <string>
@@ -90,8 +92,6 @@ struct Packet {
                     // permutation traffic); -1 means "any"
   int source;       // processor that injected the packet
   int destination;  // processor that must finally receive it
-  int size;         // payload size in flits (bookkeeping only)
-  int hops;         // slots this packet has traveled so far
 };
 
 struct NetworkStats {
@@ -108,22 +108,22 @@ struct NetworkStats {
   }
 };
 
-/// Non-owning view of one processor's packets inside the Network's
-/// pooled SoA slab. operator[] (and the iterator) gathers a Packet by
-/// value from the five parallel field arrays; range-for with
-/// `const Packet&` binds the gathered temporary as usual. Valid until
-/// the next mutating Network call (loading, executing, or resetting
-/// may grow or rewrite the slab).
+/// Non-owning view of one processor's packets inside the Network.
+/// The processor's buffer is a row of packet handles; operator[] (and
+/// the iterator) gathers a Packet by value from the per-packet field
+/// arrays through the handle, and range-for with `const Packet&` binds
+/// the gathered temporary as usual. Multicast copies share a handle,
+/// so they gather the same Packet. Valid until the next mutating
+/// Network call (loading, executing, or resetting may grow or rewrite
+/// the arrays).
 class PacketBufferView {
  public:
-  PacketBufferView(const int* id, const int* source,
-                   const int* destination, const int* size,
-                   const int* hops, int count)
-      : id_(id),
+  PacketBufferView(const int* handles, const int* id, const int* source,
+                   const int* destination, int count)
+      : handles_(handles),
+        id_(id),
         source_(source),
         destination_(destination),
-        size_(size),
-        hops_(hops),
         count_(count) {}
 
   std::size_t size() const { return as_size(count_); }
@@ -133,8 +133,8 @@ class PacketBufferView {
   Packet operator[](std::size_t i) const {
     POPS_CHECK(i < as_size(count_),
                "PacketBufferView index out of range");
-    return Packet{id_[i], source_[i], destination_[i], size_[i],
-                  hops_[i]};
+    const std::size_t k = as_size(handles_[i]);
+    return Packet{id_[k], source_[k], destination_[k]};
   }
 
   /// Gather iterator over the view it came from; the view must stay
@@ -163,11 +163,10 @@ class PacketBufferView {
   Iterator end() const { return Iterator(this, count_); }
 
  private:
+  const int* handles_;
   const int* id_;
   const int* source_;
   const int* destination_;
-  const int* size_;
-  const int* hops_;
   int count_;
 };
 
@@ -179,12 +178,13 @@ class POPS_THREAD_COMPATIBLE Network {
   void reset();
 
   /// Replaces the current traffic with one packet per processor:
-  /// processor i holds packet {id = i, destination = pi(i)}.
+  /// processor i holds handle i, packet {id = i, destination = pi(i)}.
   /// Statistics are kept (reset() clears them).
   void load_permutation_traffic(const Permutation& pi);
 
-  /// Adds one packet at packet.source. By value: a Packet is five
-  /// ints, cheaper in registers than behind a pointer.
+  /// Adds one packet at packet.source under a fresh handle. By value:
+  /// a Packet is three ints, cheaper in registers than behind a
+  /// pointer.
   void load_packet(Packet packet);
 
   /// Executes the slots in order. Returns false (and records the
@@ -205,29 +205,31 @@ class POPS_THREAD_COMPATIBLE Network {
 
   const Topology& topology() const { return topo_; }
   const NetworkStats& stats() const { return stats_; }
-  /// The packets currently held at `processor`, as a gather view into
-  /// the SoA slab. Withdrawal is swap-and-pop, so buffer order is an
-  /// implementation detail — delivery semantics never depend on it.
+  /// The packets currently held at `processor`, as a gather view
+  /// through its row of handles. Withdrawal is swap-and-pop, so buffer
+  /// order is an implementation detail — delivery semantics never
+  /// depend on it.
   PacketBufferView buffer(int processor) const {
     POPS_CHECK(processor >= 0 && processor < topo_.processor_count(),
                "buffer: processor out of range");
     const std::size_t base =
         as_size(processor) * as_size(slab_stride_);
-    return PacketBufferView(
-        slab_id_.data() + base, slab_source_.data() + base,
-        slab_destination_.data() + base, slab_size_.data() + base,
-        slab_hops_.data() + base, buffer_count_[as_size(processor)]);
+    return PacketBufferView(slab_.data() + base, packet_id_.data(),
+                            packet_source_.data(), packet_destination_.data(),
+                            buffer_count_[as_size(processor)]);
   }
   int packet_count() const { return packet_count_; }
 
-  /// Total capacity of the packet buffers and slot scratch arenas, in
-  /// elements — compared across executions by the zero-allocation
-  /// tests.
+  /// Total capacity of the packet buffers, the per-packet field
+  /// arrays and the slot scratch arenas, in elements — compared across
+  /// executions by the zero-allocation tests.
   std::size_t scratch_capacity() const;
 
-  /// Pre-sizes every per-processor packet buffer: executions whose
-  /// peak buffer occupancy stays within `per_processor` packets never
-  /// grow scratch_capacity(). The TrafficServer calls this with its
+  /// Pre-sizes every per-processor packet buffer, and the per-packet
+  /// field arrays for as many packets as the buffers hold: loading at
+  /// most `per_processor` packets per processor and executing with
+  /// peak buffer occupancy within `per_processor` never grows
+  /// scratch_capacity(). The TrafficServer calls this with its
   /// window worst case so steady-state serving is allocation-free.
   void reserve_buffers(int per_processor);
 
@@ -253,24 +255,26 @@ class POPS_THREAD_COMPATIBLE Network {
     return false;
   }
 
-  /// Widens every per-processor slab region to `new_stride` packets,
+  /// Widens every per-processor slab row to `new_stride` handles,
   /// shifting occupied prefixes in place (back to front, so rows never
-  /// overwrite each other). No-op when new_stride <= slab_stride_.
+  /// overwrite each other), and reserves the per-packet field arrays
+  /// for a full slab. No-op when new_stride <= slab_stride_.
   void grow_stride(int new_stride);
 
   Topology topo_;
-  // Pooled SoA packet slab: processor p's packets occupy indices
-  // [p * slab_stride_, p * slab_stride_ + buffer_count_[p]) of five
-  // parallel field arrays. Fixed stride keeps rows independent, so
-  // loading and delivering are O(1) appends and withdrawal is a
-  // swap-and-pop instead of vector::erase's O(k) shift.
+  // Pooled handle slab: processor p's packets are the handles at
+  // [p * slab_stride_, p * slab_stride_ + buffer_count_[p]) of slab_.
+  // Fixed stride keeps rows independent, so loading and delivering are
+  // O(1) appends and withdrawal is a swap-and-pop instead of
+  // vector::erase's O(k) shift.
   int slab_stride_ = 0;
   std::vector<int> buffer_count_;  // per processor
-  std::vector<int> slab_id_;
-  std::vector<int> slab_source_;
-  std::vector<int> slab_destination_;
-  std::vector<int> slab_size_;
-  std::vector<int> slab_hops_;
+  std::vector<int> slab_;          // packet handles
+  // Per-packet fields, indexed by handle (one entry per loaded packet;
+  // multicast copies share their original's handle).
+  std::vector<int> packet_id_;
+  std::vector<int> packet_source_;
+  std::vector<int> packet_destination_;
   int packet_count_ = 0;
   NetworkStats stats_;
   std::string failure_;
@@ -286,7 +290,7 @@ class POPS_THREAD_COMPATIBLE Network {
   std::vector<int> packet_of_source_;      // per processor
   std::vector<int> source_of_coupler_;     // per coupler
   std::vector<int> buffer_index_of_source_;  // per processor
-  std::vector<Packet> in_flight_;          // per processor
+  std::vector<int> handle_of_source_;      // per processor: in flight
   std::vector<int> touched_sources_;       // distinct senders, in order
 };
 

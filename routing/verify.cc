@@ -77,8 +77,7 @@ std::string verify_h_relation(const Topology& topo,
                      request.destination, ") does not fit ",
                      topo.to_string());
     }
-    net.load_packet(
-        Packet{as_int(k), request.source, request.destination, 1, 0});
+    net.load_packet(Packet{as_int(k), request.source, request.destination});
   }
   if (!net.execute(plan.schedule)) return net.failure();
   for (std::size_t k = 0; k < requests.size(); ++k) {

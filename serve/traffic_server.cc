@@ -177,8 +177,7 @@ void TrafficServer::execute_window() {
   net_.reset();
   for (int e = 0; e < demand_count; ++e) {
     const Demand& demand = demands_[as_size(e)];
-    net_.load_packet(
-        Packet{e, demand.source, demand.destination, demand.payload, 0});
+    net_.load_packet(Packet{e, demand.source, demand.destination});
   }
   const bool executed = net_.execute(plan.schedule);
   if (!executed) {

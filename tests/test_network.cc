@@ -43,7 +43,10 @@ POPS_TEST(LoadPermutationTraffic) {
   EXPECT_FALSE(net.all_delivered());
   EXPECT_EQ(net.buffer(1).size(), std::size_t{1});
   EXPECT_EQ(net.buffer(1)[0].destination, 2);
-  EXPECT_EQ(net.buffer(1)[0].hops, 0);
+  // Loaded at its source, and nothing has moved yet.
+  EXPECT_EQ(net.buffer(1)[0].id, 1);
+  EXPECT_EQ(net.buffer(1)[0].source, 1);
+  EXPECT_EQ(net.stats().packets_moved, 0LL);
 }
 
 POPS_TEST(SingleSlotDelivery) {
@@ -58,7 +61,10 @@ POPS_TEST(SingleSlotDelivery) {
   EXPECT_TRUE(net.execute_slot(slot));
   EXPECT_TRUE(net.ok());
   EXPECT_TRUE(net.all_delivered());
-  EXPECT_EQ(net.buffer(3)[0].hops, 1);
+  // Packet 0 crossed from processor 0 to 3 in one transmission.
+  EXPECT_EQ(net.buffer(3).size(), std::size_t{1});
+  EXPECT_EQ(net.buffer(3)[0].id, 0);
+  EXPECT_EQ(net.buffer(3)[0].source, 0);
   EXPECT_EQ(net.stats().slots_executed, 1LL);
   EXPECT_EQ(net.stats().packets_moved, 4LL);
   // All four used couplers are off-diagonal plus... exactly 4 busy.
@@ -72,7 +78,7 @@ POPS_TEST(MulticastFromOneTransmitter) {
   // multicast to two groups).
   const Topology topo(2, 2);
   Network net(topo);
-  net.load_packet(Packet{7, 0, -1, 1, 0});
+  net.load_packet(Packet{7, 0, -1});
   SlotPlan slot;
   slot.transmissions.push_back(Transmission{0, 1, 7});
   slot.transmissions.push_back(Transmission{0, 2, 7});
@@ -89,7 +95,7 @@ POPS_TEST(MulticastAcrossManyCouplersInOneSlot) {
   // single slot, and every processor receives a copy.
   const Topology topo(2, 4);
   Network net(topo);
-  net.load_packet(Packet{5, 3, -1, 1, 0});
+  net.load_packet(Packet{5, 3, -1});
   SlotPlan slot;
   for (int p = 0; p < topo.processor_count(); ++p) {
     slot.transmissions.push_back(Transmission{3, p, 5});
@@ -100,8 +106,11 @@ POPS_TEST(MulticastAcrossManyCouplersInOneSlot) {
   for (int p = 0; p < topo.processor_count(); ++p) {
     EXPECT_EQ(net.buffer(p).size(), std::size_t{1});
     EXPECT_EQ(net.buffer(p)[0].id, 5);
-    EXPECT_EQ(net.buffer(p)[0].hops, 1);
+    EXPECT_EQ(net.buffer(p)[0].source, 3);
   }
+  // One transmission per copy: each copy moved exactly once.
+  EXPECT_EQ(net.stats().packets_moved,
+            static_cast<long long>(topo.processor_count()));
   // Exactly the g couplers of source group 1 were busy.
   EXPECT_EQ(net.stats().coupler_slots_busy,
             static_cast<long long>(topo.g()));
@@ -114,8 +123,8 @@ POPS_TEST(RejectsTwoDifferentPacketsFromOneSource) {
   // Span-based execute_slot path directly.
   const Topology topo(2, 2);
   Network net(topo);
-  net.load_packet(Packet{0, 0, 2, 1, 0});
-  net.load_packet(Packet{1, 0, 1, 1, 0});
+  net.load_packet(Packet{0, 0, 2});
+  net.load_packet(Packet{1, 0, 1});
   const std::vector<Transmission> transmissions = {
       Transmission{0, 2, 0}, Transmission{0, 1, 1}};
   EXPECT_FALSE(net.execute_slot(Span<const Transmission>(transmissions)));
@@ -166,8 +175,8 @@ POPS_TEST(RejectsDoubleSendAndDoubleReceive) {
   const Topology topo(2, 2);
   {
     Network net(topo);
-    net.load_packet(Packet{0, 0, 2, 1, 0});
-    net.load_packet(Packet{1, 0, 1, 1, 0});
+    net.load_packet(Packet{0, 0, 2});
+    net.load_packet(Packet{1, 0, 1});
     SlotPlan slot;
     slot.transmissions.push_back(Transmission{0, 2, 0});
     slot.transmissions.push_back(Transmission{0, 1, 1});
@@ -177,8 +186,8 @@ POPS_TEST(RejectsDoubleSendAndDoubleReceive) {
   }
   {
     Network net(topo);
-    net.load_packet(Packet{0, 0, 3, 1, 0});
-    net.load_packet(Packet{1, 2, 3, 1, 0});
+    net.load_packet(Packet{0, 0, 3});
+    net.load_packet(Packet{1, 2, 3});
     // Sources sit in different groups, so the couplers are distinct and
     // the double-receive at processor 3 is the first violation.
     SlotPlan slot;
@@ -207,9 +216,9 @@ POPS_TEST(WithdrawalOrderCarriesNoSemantics) {
   // so the permuted buffer order must never be observable.
   const Topology topo(2, 2);
   Network net(topo);
-  net.load_packet(Packet{10, 0, 1, 1, 0});
-  net.load_packet(Packet{11, 0, 2, 1, 0});
-  net.load_packet(Packet{12, 0, 3, 1, 0});
+  net.load_packet(Packet{10, 0, 1});
+  net.load_packet(Packet{11, 0, 2});
+  net.load_packet(Packet{12, 0, 3});
   SlotPlan first;
   first.transmissions.push_back(Transmission{0, 1, 10});
   EXPECT_TRUE(net.execute_slot(first));
@@ -235,15 +244,15 @@ POPS_TEST(WithdrawalOrderCarriesNoSemantics) {
 }
 
 POPS_TEST(AnyPacketSendRequiresExactlyOnePacket) {
-  // The destination == -1 "any" path is only legal when the buffer
+  // The packet == -1 "any" send is only legal when the buffer
   // holds exactly one packet, so it cannot observe buffer order either
   // — together with the lookup-by-id path this makes the swap-and-pop
   // reordering fully unobservable.
   const Topology topo(2, 2);
   {
     Network net(topo);
-    net.load_packet(Packet{20, 0, -1, 1, 0});
-    net.load_packet(Packet{21, 0, -1, 1, 0});
+    net.load_packet(Packet{20, 0, -1});
+    net.load_packet(Packet{21, 0, -1});
     SlotPlan slot;
     slot.transmissions.push_back(Transmission{0, 1, -1});
     EXPECT_FALSE(net.execute_slot(slot));
@@ -255,8 +264,8 @@ POPS_TEST(AnyPacketSendRequiresExactlyOnePacket) {
     // After a by-id withdrawal leaves exactly one packet, "any"
     // succeeds on the survivor regardless of where the swap left it.
     Network net(topo);
-    net.load_packet(Packet{20, 0, 1, 1, 0});
-    net.load_packet(Packet{21, 0, -1, 1, 0});
+    net.load_packet(Packet{20, 0, 1});
+    net.load_packet(Packet{21, 0, -1});
     SlotPlan first;
     first.transmissions.push_back(Transmission{0, 1, 20});
     EXPECT_TRUE(net.execute_slot(first));
@@ -297,11 +306,11 @@ POPS_TEST(SlabGrowthPreservesQueuedPackets) {
   // whole slab; every other processor's row must move intact.
   const Topology topo(2, 2);
   Network net(topo);
-  net.load_packet(Packet{1, 0, 3, 1, 0});
-  net.load_packet(Packet{2, 2, 3, 1, 0});
-  net.load_packet(Packet{3, 3, 0, 1, 0});
+  net.load_packet(Packet{1, 0, 3});
+  net.load_packet(Packet{2, 2, 3});
+  net.load_packet(Packet{3, 3, 0});
   for (int k = 0; k < 9; ++k) {
-    net.load_packet(Packet{10 + k, 1, k % 4, 1, 0});
+    net.load_packet(Packet{10 + k, 1, k % 4});
   }
   EXPECT_EQ(net.packet_count(), 12);
   EXPECT_EQ(net.buffer(0).size(), std::size_t{1});
@@ -316,6 +325,38 @@ POPS_TEST(SlabGrowthPreservesQueuedPackets) {
     seen[packet.id - 10] = true;
   }
   for (const bool s : seen) EXPECT_TRUE(s);
+}
+
+POPS_TEST(ReservedBuffersHoldAWindowWithoutGrowing) {
+  // A window's worth of traffic: on POPS(1, 8) every processor loads
+  // one packet for each other processor (56 packets, more than n), and
+  // slot k delivers the rotation by k. After reserve_buffers, loading
+  // and executing it must grow no array — the per-packet field arrays
+  // included — on the first run or any repeat.
+  const Topology topo(1, 8);
+  const int n = topo.processor_count();
+  FlatSchedule schedule;
+  for (int k = 1; k < n; ++k) {
+    schedule.begin_slot();
+    for (int p = 0; p < n; ++p) {
+      schedule.push(Transmission{p, (p + k) % n, p * n + k});
+    }
+  }
+  Network net(topo);
+  net.reserve_buffers(n - 1);
+  const std::size_t reserved = net.scratch_capacity();
+  for (int rep = 0; rep < 3; ++rep) {
+    net.reset();
+    for (int p = 0; p < n; ++p) {
+      for (int k = 1; k < n; ++k) {
+        net.load_packet(Packet{p * n + k, p, (p + k) % n});
+      }
+    }
+    EXPECT_EQ(net.packet_count(), n * (n - 1));
+    EXPECT_TRUE(net.execute(schedule));
+    EXPECT_TRUE(net.all_delivered());
+    EXPECT_EQ(net.scratch_capacity(), reserved);
+  }
 }
 
 POPS_TEST(ResetAndReloadClearFailures) {

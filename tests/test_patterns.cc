@@ -168,7 +168,7 @@ POPS_TEST(ZipfHotGroupSkewsTowardGroupZero) {
 POPS_TEST(OneToAllIsAnAcceptedMulticast) {
   const Topology topo(3, 3);
   Network net(topo);
-  net.load_packet(Packet{-1, 4, -1, 1, 0});
+  net.load_packet(Packet{-1, 4, -1});
   const SlotPlan slot = one_to_all(topo, 4);
   EXPECT_EQ(slot.transmissions.size(),
             as_size(topo.processor_count()));
