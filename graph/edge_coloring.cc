@@ -132,7 +132,7 @@ void EdgeColorer::set_slots(int delta, int e, int u, int v, int c,
 void EdgeColorer::spread(const BipartiteMultigraph& graph,
                          int num_classes, EdgeColoring& coloring) {
   POPS_CHECK(num_classes >= std::max(1, coloring.num_colors),
-             "spread_colors: fewer classes than existing colors");
+             "EdgeColorer::spread: fewer classes than existing colors");
   coloring.num_colors = num_classes;
   const int edge_count = graph.edge_count();
   sizes_.assign(as_size(num_classes), 0);
@@ -149,7 +149,7 @@ void EdgeColorer::spread(const BipartiteMultigraph& graph,
   const long long limit =
       2LL * static_cast<long long>(edge_count) * num_classes + 16;
   for (long long iteration = 0;; ++iteration) {
-    POPS_CHECK(iteration <= limit, "spread_colors failed to converge");
+    POPS_CHECK(iteration <= limit, "EdgeColorer::spread failed to converge");
     const int a = static_cast<int>(
         std::max_element(sizes_.begin(), sizes_.end()) - sizes_.begin());
     const int b = static_cast<int>(
@@ -210,7 +210,7 @@ void EdgeColorer::spread(const BipartiteMultigraph& graph,
       --flips_left;
       flipped = true;
     }
-    POPS_CHECK(flipped, "spread_colors: no augmenting path found");
+    POPS_CHECK(flipped, "EdgeColorer::spread: no augmenting path found");
   }
 }
 
@@ -220,22 +220,6 @@ std::size_t EdgeColorer::scratch_capacity() const {
          path_.capacity() + sizes_.capacity() + slot_a_.capacity() +
          slot_b_.capacity() + walked_.capacity() +
          spread_path_.capacity();
-}
-
-EdgeColoring color_edges(const BipartiteMultigraph& graph) {
-  EdgeColorer colorer;
-  EdgeColoring out;
-  colorer.color(graph, ColoringAlgorithm::kAlternatingPath, out);
-  return out;
-}
-
-EdgeColoring spread_colors(const BipartiteMultigraph& graph,
-                           const EdgeColoring& coloring,
-                           int num_classes) {
-  EdgeColorer colorer;
-  EdgeColoring result = coloring;
-  colorer.spread(graph, num_classes, result);
-  return result;
 }
 
 }  // namespace pops

@@ -98,18 +98,4 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   std::vector<int> spread_path_;
 };
 
-/// Properly colors the edges of any bipartite multigraph with
-/// max_degree colors. Thin wrapper over a transient EdgeColorer.
-EdgeColoring color_edges(const BipartiteMultigraph& graph);
-
-/// Rebalances a proper coloring onto num_classes classes (num_classes
-/// >= coloring.num_colors) so that class sizes differ by at most one,
-/// using alternating-path swaps that preserve properness. When
-/// num_classes divides the edge count, every class ends up with exactly
-/// edge_count / num_classes edges. This is the "fair distribution"
-/// step of the Theorem 2 router: classes become intermediate groups,
-/// and the size bound is the receiver capacity of a group.
-EdgeColoring spread_colors(const BipartiteMultigraph& graph,
-                           const EdgeColoring& coloring, int num_classes);
-
 }  // namespace pops

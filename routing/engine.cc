@@ -18,7 +18,9 @@ std::ostream& operator<<(std::ostream& os,
 }
 
 RoutingEngine::RoutingEngine(const Topology& topo)
-    : topo_(topo), h_(topo.g(), topo.g()) {
+    : topo_(topo),
+      peels_(topo.d() > 1 && topo.d() >= kPeelRatio * topo.g()),
+      h_(topo.g(), topo.g()) {
   const int n = topo_.processor_count();
   // Pre-size everything whose final size is known from (d, g) alone,
   // so even the first route call grows as little as possible and the
@@ -34,6 +36,16 @@ RoutingEngine::RoutingEngine(const Topology& topo)
   coupler_count_.reserve(as_size(topo_.coupler_count()));
   coupler_offset_.reserve(as_size(topo_.coupler_count() + 1));
   coupler_queue_.reserve(as_size(n));
+  coupler_of_source_.reserve(as_size(n));
+  if (peels_) {
+    const int g = topo_.g();
+    peel_left_.reserve(as_size(g * g));
+    match_of_row_.reserve(as_size(g));
+    row_of_column_.reserve(as_size(g));
+    column_seen_.reserve(as_size(g));
+    kuhn_row_.reserve(as_size(g));
+    kuhn_next_.reserve(as_size(g));
+  }
   image_seen_stamp_.assign(as_size(n), 0);
 }
 
@@ -79,7 +91,7 @@ const FlatSchedule& RoutingEngine::route_permutation(
   ScopedAllocationBan ban("RoutingEngine::route_permutation",
                           warm_theorem2_);
   // The Permutation constructor already validated bijectivity.
-  build_theorem2(Span<const int>(pi.images()));
+  route_theorem2(Span<const int>(pi.images()));
   return theorem2_schedule_;
 }
 
@@ -99,8 +111,16 @@ const FlatSchedule& RoutingEngine::route_permutation(
                "route_permutation: image array is not a permutation");
     image_seen_stamp_[as_size(v)] = image_epoch_;
   }
-  build_theorem2(images);
+  route_theorem2(images);
   return theorem2_schedule_;
+}
+
+void RoutingEngine::route_theorem2(Span<const int> images) {
+  if (peels_) {
+    count_coupler_demand(images);
+    bucket_by_coupler();
+  }
+  build_theorem2(images);
 }
 
 void RoutingEngine::build_theorem2(Span<const int> images) {
@@ -126,30 +146,10 @@ void RoutingEngine::build_theorem2(Span<const int> images) {
     return;
   }
 
-  // H: one edge per packet, source group -> destination group. Edge id
-  // == source processor id because sources are added in order and each
-  // holds exactly one packet.
-  h_.reset(g, g);
-  for (int source = 0; source < n; ++source) {
-    h_.add_edge(topo_.group_of(source), topo_.group_of(pi(source)));
-  }
-  colorer_.color(h_, ColoringAlgorithm::kAlternatingPath, coloring_);
-  POPS_CHECK(coloring_.num_colors == d,
-             "Theorem 2: H must be d-edge-colorable");
-
-  // Bucket the sources by H-color (stable counting sort). H is
-  // d-regular on g + g vertices, so every color class is a perfect
-  // matching: color c owns exactly the g slots [c * g, (c + 1) * g) of
-  // source_by_color_, and a source's offset in its bucket is its rank.
-  color_cursor_.resize(as_size(d));
-  for (int c = 0; c < d; ++c) color_cursor_[as_size(c)] = c * g;
-  source_by_color_.resize(as_size(n));
-  for (int source = 0; source < n; ++source) {
-    const int c = coloring_.color[as_size(source)];
-    const int slot = color_cursor_[as_size(c)]++;
-    POPS_CHECK(slot < (c + 1) * g,
-               "Theorem 2: an H color class is not a perfect matching");
-    source_by_color_[as_size(slot)] = source;
+  if (peels_) {
+    peel_coupler_matrix();
+  } else {
+    color_h(images);
   }
 
   // Fair distribution straight from the coloring: batch q takes colors
@@ -207,49 +207,211 @@ void RoutingEngine::build_theorem2(Span<const int> images) {
   warm_theorem2_ = true;
 }
 
+void RoutingEngine::color_h(Span<const int> images) {
+  const auto pi = [&images](int i) { return images[as_size(i)]; };
+  const int d = topo_.d();
+  const int g = topo_.g();
+  const int n = topo_.processor_count();
+  // H: one edge per packet, source group -> destination group. Edge id
+  // == source processor id because sources are added in order and each
+  // holds exactly one packet.
+  h_.reset(g, g);
+  for (int source = 0; source < n; ++source) {
+    h_.add_edge(topo_.group_of(source), topo_.group_of(pi(source)));
+  }
+  colorer_.color(h_, ColoringAlgorithm::kAlternatingPath, coloring_);
+  POPS_CHECK(coloring_.num_colors == d,
+             "Theorem 2: H must be d-edge-colorable");
+
+  // Bucket the sources by H-color (stable counting sort). H is
+  // d-regular on g + g vertices, so every color class is a perfect
+  // matching: color c owns exactly the g slots [c * g, (c + 1) * g) of
+  // source_by_color_, and a source's offset in its bucket is its rank.
+  color_cursor_.resize(as_size(d));
+  for (int c = 0; c < d; ++c) color_cursor_[as_size(c)] = c * g;
+  source_by_color_.resize(as_size(n));
+  for (int source = 0; source < n; ++source) {
+    const int c = coloring_.color[as_size(source)];
+    const int slot = color_cursor_[as_size(c)]++;
+    POPS_CHECK(slot < (c + 1) * g,
+               "Theorem 2: an H color class is not a perfect matching");
+    source_by_color_[as_size(slot)] = source;
+  }
+}
+
+void RoutingEngine::peel_coupler_matrix() {
+  const int d = topo_.d();
+  const int g = topo_.g();
+  // peel_left_ is the multiplicity matrix M of H, row-major: cell
+  // (i, j) counts the still uncolored packets from source group i to
+  // destination group j, i.e. the unconsumed tail of coupler
+  // c(j, i)'s bucket. Every row and column of M sums to d.
+  peel_left_.resize(as_size(g * g));
+  for (int i = 0; i < g; ++i) {
+    for (int j = 0; j < g; ++j) {
+      peel_left_[as_size(i * g + j)] =
+          coupler_count_[as_size(topo_.coupler(j, i))];
+    }
+  }
+  match_of_row_.assign(as_size(g), -1);
+  row_of_column_.assign(as_size(g), -1);
+  column_seen_.resize(as_size(g));
+  kuhn_row_.resize(as_size(g));
+  kuhn_next_.resize(as_size(g));
+  source_by_color_.resize(as_size(topo_.processor_count()));
+
+  // Birkhoff-von Neumann peel. The uncolored rest of M stays regular
+  // (every row and column sums to the number of colors left), so its
+  // support always holds a perfect matching (König/Hall). With w its
+  // smallest cell, the matching is w consecutive color classes: color
+  // c takes from row i the next packet of cell (i, match_of_row_[i]).
+  // Subtracting w empties at least one cell, so there are at most
+  // min(d, g * g - 2 * g + 2) peels, and only the rows whose cell
+  // emptied need a new partner.
+  int color = 0;
+  while (true) {
+    for (int i = 0; i < g; ++i) {
+      if (match_of_row_[as_size(i)] >= 0) continue;
+      POPS_CHECK(match_row(i),
+                 "Theorem 2: the coupler-demand matrix has no perfect "
+                 "matching");
+    }
+    int w = d - color;
+    for (int i = 0; i < g; ++i) {
+      w = std::min(w, peel_left_[as_size(i * g + match_of_row_[as_size(i)])]);
+    }
+    for (int i = 0; i < g; ++i) {
+      const int j = match_of_row_[as_size(i)];
+      int& left = peel_left_[as_size(i * g + j)];
+      // The cell's uncolored packets are the last `left` of its bucket;
+      // take them in source order.
+      const int end = coupler_offset_[as_size(topo_.coupler(j, i) + 1)];
+      for (int c = color; c < color + w; ++c) {
+        source_by_color_[as_size(c * g + i)] =
+            coupler_queue_[as_size(end - left--)];
+      }
+      if (left == 0) {
+        match_of_row_[as_size(i)] = -1;
+        row_of_column_[as_size(j)] = -1;
+      }
+    }
+    color += w;
+    if (color == d) break;
+  }
+}
+
+int RoutingEngine::free_column_of(int row) const {
+  const int g = topo_.g();
+  for (int j = 0; j < g; ++j) {
+    if (peel_left_[as_size(row * g + j)] > 0 &&
+        row_of_column_[as_size(j)] < 0) {
+      return j;
+    }
+  }
+  return -1;
+}
+
+bool RoutingEngine::match_row(int root) {
+  const int g = topo_.g();
+  // Iterative Kuhn search for an augmenting path from the unmatched
+  // row `root` over the nonzero cells of peel_left_. kuhn_row_[k] is
+  // the row at depth k (each deeper row owns the column its parent
+  // just tried); kuhn_next_[k] is that row's next column to try. Each
+  // row first looks for a free column among its own cells, so a repair
+  // after one emptied cell is usually a single swap, not a deep
+  // descent.
+  std::fill(column_seen_.begin(), column_seen_.end(), 0);
+  int depth = 0;
+  kuhn_row_[0] = root;
+  kuhn_next_[0] = 0;
+  int free_column = free_column_of(root);
+  while (free_column < 0) {
+    const int row = kuhn_row_[as_size(depth)];
+    int j = kuhn_next_[as_size(depth)];
+    while (j < g && (peel_left_[as_size(row * g + j)] == 0 ||
+                     column_seen_[as_size(j)] != 0)) {
+      ++j;
+    }
+    if (j == g) {
+      if (--depth < 0) return false;
+      continue;
+    }
+    kuhn_next_[as_size(depth)] = j + 1;
+    column_seen_[as_size(j)] = 1;
+    // Matched: the look-ahead of this row would have taken j if free.
+    const int owner = row_of_column_[as_size(j)];
+    ++depth;
+    kuhn_row_[as_size(depth)] = owner;
+    kuhn_next_[as_size(depth)] = 0;
+    free_column = free_column_of(owner);
+  }
+  // Augment: the top row takes the free column, and every row below it
+  // takes the column that led to the row above it, handing its old
+  // column down to its parent.
+  int column = free_column;
+  for (int k = depth; k >= 0; --k) {
+    const int r = kuhn_row_[as_size(k)];
+    const int previous = match_of_row_[as_size(r)];
+    match_of_row_[as_size(r)] = column;
+    row_of_column_[as_size(column)] = r;
+    column = previous;
+  }
+  return true;
+}
+
 const FlatSchedule& RoutingEngine::route_direct(const Permutation& pi) {
   ScopedAllocationBan ban("RoutingEngine::route_direct", warm_direct_);
-  count_coupler_demand(pi);
-  build_direct(pi);
+  const Span<const int> images(pi.images());
+  direct_max_demand_ = count_coupler_demand(images);
+  bucket_by_coupler();
+  build_direct(images);
   return direct_schedule_;
 }
 
-void RoutingEngine::count_coupler_demand(const Permutation& pi) {
-  POPS_CHECK(pi.size() == topo_.processor_count(),
-             "route_direct: permutation does not fit the topology");
-  const int n = topo_.processor_count();
+int RoutingEngine::count_coupler_demand(Span<const int> images) {
+  POPS_CHECK(images.count() == topo_.processor_count(),
+             "count_coupler_demand: permutation does not fit the topology");
+  const int d = topo_.d();
+  const int g = topo_.g();
   coupler_count_.assign(as_size(topo_.coupler_count()), 0);
-  direct_max_demand_ = 0;
+  coupler_of_source_.resize(as_size(topo_.processor_count()));
+  int max_demand = 0;
+  for (int source_group = 0; source_group < g; ++source_group) {
+    for (int source = source_group * d; source < (source_group + 1) * d;
+         ++source) {
+      const int coupler = topo_.coupler(
+          topo_.group_of(images[as_size(source)]), source_group);
+      coupler_of_source_[as_size(source)] = coupler;
+      max_demand =
+          std::max(max_demand, ++coupler_count_[as_size(coupler)]);
+    }
+  }
+  return max_demand;
+}
+
+void RoutingEngine::bucket_by_coupler() {
+  const int n = topo_.processor_count();
+  const int couplers = topo_.coupler_count();
+  // Counting sort of the sources by coupler (CSR). coupler_offset_[c +
+  // 1] starts at the first position of bucket c and is bumped per
+  // packet placed, so after the fill it is the end of bucket c: the
+  // offsets double as the fill cursors. Sources are placed in order,
+  // so each bucket lists its packets by source id.
+  coupler_offset_.assign(as_size(couplers + 1), 0);
+  for (int c = 1; c < couplers; ++c) {
+    coupler_offset_[as_size(c + 1)] =
+        coupler_offset_[as_size(c)] + coupler_count_[as_size(c - 1)];
+  }
+  coupler_queue_.resize(as_size(n));
   for (int source = 0; source < n; ++source) {
-    const int coupler = topo_.coupler(topo_.group_of(pi(source)),
-                                      topo_.group_of(source));
-    direct_max_demand_ =
-        std::max(direct_max_demand_, ++coupler_count_[as_size(coupler)]);
+    const int coupler = coupler_of_source_[as_size(source)];
+    coupler_queue_[as_size(coupler_offset_[as_size(coupler + 1)]++)] =
+        source;
   }
 }
 
-void RoutingEngine::build_direct(const Permutation& pi) {
-  const int n = topo_.processor_count();
+void RoutingEngine::build_direct(Span<const int> images) {
   const int couplers = topo_.coupler_count();
-
-  // Bucket the packets per coupler (CSR) from the counts. Sources are
-  // enumerated in order, so each bucket lists its packets by source id.
-  coupler_offset_.assign(as_size(couplers + 1), 0);
-  for (int c = 0; c < couplers; ++c) {
-    coupler_offset_[as_size(c + 1)] =
-        coupler_offset_[as_size(c)] + coupler_count_[as_size(c)];
-  }
-  coupler_queue_.resize(as_size(n));
-  // Reuse coupler_count_ as the per-coupler fill cursor.
-  for (int c = 0; c < couplers; ++c) {
-    coupler_count_[as_size(c)] = coupler_offset_[as_size(c)];
-  }
-  for (int source = 0; source < n; ++source) {
-    const int coupler = topo_.coupler(topo_.group_of(pi(source)),
-                                      topo_.group_of(source));
-    coupler_queue_[as_size(coupler_count_[as_size(coupler)]++)] = source;
-  }
-
   // Slot t drains the t-th packet of every non-empty bucket. Distinct
   // couplers per slot by construction; distinct transmitters and
   // receivers because pi is a permutation and each source appears in
@@ -262,7 +424,8 @@ void RoutingEngine::build_direct(const Permutation& pi) {
       const int end = coupler_offset_[as_size(c + 1)];
       if (end - begin <= slot) continue;
       const int source = coupler_queue_[as_size(begin + slot)];
-      direct_schedule_.push(Transmission{source, pi(source), source});
+      direct_schedule_.push(
+          Transmission{source, images[as_size(source)], source});
     }
   }
   warm_direct_ = true;
@@ -275,14 +438,22 @@ const FlatSchedule& RoutingEngine::route_best(const Permutation& pi) {
   // drains the fullest coupler one packet per slot, and Theorem 2 is
   // shape-static. Direct wins ties: same length, one hop per packet
   // and no relay buffering.
-  count_coupler_demand(pi);
+  const Span<const int> images(pi.images());
+  direct_max_demand_ = count_coupler_demand(images);
   const bool direct_wins = direct_max_demand_ <= theorem2_slots(topo_);
   // A cold engine builds both candidates, so this one call sizes every
   // arena and later calls may take either branch under the armed ban.
   // Only the winner is verified: the simulator is sized at
-  // construction, so executing the loser would size nothing.
-  if (direct_wins || !warm) build_direct(pi);
-  if (!direct_wins || !warm) build_theorem2(Span<const int>(pi.images()));
+  // construction, so executing the loser would size nothing. Both
+  // direct and the Theorem 2 peel read the same coupler buckets, so
+  // one counting pass and one bucketing serve either winner.
+  const bool build_direct_now = direct_wins || !warm;
+  const bool build_theorem2_now = !direct_wins || !warm;
+  if (build_direct_now || (build_theorem2_now && peels_)) {
+    bucket_by_coupler();
+  }
+  if (build_direct_now) build_direct(images);
+  if (build_theorem2_now) build_theorem2(images);
   if (direct_wins) {
     verify_or_abort(direct_schedule_, pi, "route_best: direct candidate");
     last_strategy_ = RouteStrategy::kDirect;
@@ -327,7 +498,11 @@ ScratchFootprint RoutingEngine::scratch_footprint() const {
       theorem2_schedule_.transmission_capacity() +
       theorem2_schedule_.offset_capacity() +
       coupler_count_.capacity() + coupler_offset_.capacity() +
-      coupler_queue_.capacity() + image_seen_stamp_.capacity() +
+      coupler_queue_.capacity() + coupler_of_source_.capacity() +
+      peel_left_.capacity() + match_of_row_.capacity() +
+      row_of_column_.capacity() + column_seen_.capacity() +
+      kuhn_row_.capacity() + kuhn_next_.capacity() +
+      image_seen_stamp_.capacity() +
       direct_schedule_.transmission_capacity() +
       direct_schedule_.offset_capacity() +
       (net_.has_value() ? net_->scratch_capacity() : 0);

@@ -19,14 +19,30 @@
 // slots. The fair distribution of every batch comes straight from H's
 // one d-coloring: each intermediate group is a chunk of one color
 // class (EdgeColorer::spread only rebalances the d < g, g mod d != 0
-// remainder). The engine therefore owns every intermediate object —
-// the packet multigraph, the edge colorings, the fair-distribution
-// scratch, the coupler queues of the direct router, the verification
-// Network of the portfolio, and the emitted FlatSchedules — and
-// rebuilds them in place per permutation. Routing performs no heap
-// allocation at all after one warm-up call per strategy (asserted by
-// tests that compare scratch_footprint() across calls): the colorer
-// runs on flat slot tables and builds no transient subgraphs.
+// remainder).
+//
+// One counting pass over the permutation records each packet's
+// coupler c(destination group, source group) and the per-coupler
+// counts; a division-free counting sort then buckets the sources by
+// coupler. The direct router drains these buckets, and kBest picks its
+// winner from their largest count. The same counts are H's g x g
+// multiplicity matrix M (M[i][j] = packets from group i to group j), so
+// when d >= 3g Theorem 2 colors H by peeling M instead of inserting its
+// n edges one by one: take a perfect matching of M's support, give it
+// w consecutive colors (w = its smallest cell), subtract, and re-match
+// only the rows whose cell emptied (Birkhoff-von Neumann, at most
+// min(d, g * g - 2 * g + 2) peels). Below d = 3g, H is built and
+// colored by EdgeColorer's alternating paths; the threshold
+// (kPeelRatio) is where peeling wins on every measured shape.
+//
+// The engine owns every intermediate object — the packet multigraph,
+// the edge colorings, the peel matrix, the fair-distribution scratch,
+// the coupler buckets, the verification Network of the portfolio, and
+// the emitted FlatSchedules — and rebuilds them in place per
+// permutation. Routing performs no heap allocation at all after one
+// warm-up call per strategy (asserted by tests that compare
+// scratch_footprint() across calls): the colorer runs on flat slot
+// tables and builds no transient subgraphs.
 #pragma once
 
 #include <iosfwd>
@@ -109,8 +125,10 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// slots, where max demand is the largest number of packets sharing
   /// one coupler.
   const FlatSchedule& route_direct(const Permutation& pi);
-  /// Max demand of the last direct or kBest route — set by kBest even
-  /// when Theorem 2 won and no direct schedule was built.
+  /// Max coupler demand of the permutation of the last route_direct or
+  /// kBest call — set by kBest even when Theorem 2 won and no direct
+  /// schedule was built. route_permutation never changes it, although
+  /// on peel shapes it counts the same coupler demand itself.
   int direct_max_demand() const { return direct_max_demand_; }
 
   ScratchFootprint scratch_footprint() const;
@@ -125,12 +143,34 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// candidates, so one warm-up call sizes every arena; it too verifies
   /// only the winner.
   const FlatSchedule& route_best(const Permutation& pi);
+  /// Theorem 2 for a validated image array: on peel shapes it first
+  /// counts and buckets the coupler demand, which build_theorem2 reads.
+  void route_theorem2(Span<const int> images);
+  /// Theorem 2 schedule. On peel shapes the coupler buckets must
+  /// already hold `images` (bucket_by_coupler).
   void build_theorem2(Span<const int> images);
-  /// Per-coupler packet counts of pi into coupler_count_, and their
-  /// maximum into direct_max_demand_.
-  void count_coupler_demand(const Permutation& pi);
-  /// Direct schedule from the counts of count_coupler_demand(pi).
-  void build_direct(const Permutation& pi);
+  /// Alternating-path path: builds H, colors it and counting-sorts the
+  /// sources by color into source_by_color_.
+  void color_h(Span<const int> images);
+  /// Peel path: colors H through its g x g multiplicity matrix, read
+  /// off the coupler buckets, straight into source_by_color_.
+  void peel_coupler_matrix();
+  /// Kuhn augmenting search that matches row `root` of the peel matrix
+  /// to a column through nonzero cells; false iff none exists.
+  bool match_row(int root);
+  /// First column that `row` reaches through a nonzero cell and that
+  /// no row is matched to, or -1.
+  int free_column_of(int row) const;
+  /// The one counting pass over the permutation: per-coupler packet
+  /// counts into coupler_count_ and each source's coupler into
+  /// coupler_of_source_. Returns the max coupler demand.
+  int count_coupler_demand(Span<const int> images);
+  /// Buckets the sources by coupler (CSR coupler_offset_ /
+  /// coupler_queue_) from the last count_coupler_demand, with no
+  /// division.
+  void bucket_by_coupler();
+  /// Direct schedule from the buckets of bucket_by_coupler().
+  void build_direct(Span<const int> images);
   /// Executes `schedule` on the internal simulator under permutation
   /// traffic pi; true iff every packet was delivered. Allocation-free
   /// once the simulator is warm.
@@ -142,7 +182,13 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// Why the last delivers() returned false, for abort messages.
   std::string verification_failure() const;
 
+  /// Theorem 2 colors H by peeling when d >= kPeelRatio * g (and
+  /// d > 1); below that, alternating-path inserts are as fast or
+  /// faster on some shapes.
+  static constexpr int kPeelRatio = 3;
+
   Topology topo_;
+  const bool peels_;
 
   // One warm-up call per strategy sizes that strategy's arenas; from
   // the second call on, the entry point arms a ScopedAllocationBan on
@@ -169,10 +215,19 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   std::vector<long long> image_seen_stamp_;
   long long image_epoch_ = 0;
 
-  // --- Direct-router scratch (CSR coupler queues) ---
-  std::vector<int> coupler_count_;   // packets per coupler
-  std::vector<int> coupler_offset_;  // prefix sums, coupler_count()+1
-  std::vector<int> coupler_queue_;   // sources bucketed by coupler
+  // --- Peel scratch (peel shapes only) ---
+  std::vector<int> peel_left_;      // uncolored M, row-major g x g
+  std::vector<int> match_of_row_;   // column matched to each row, or -1
+  std::vector<int> row_of_column_;  // row matched to each column, or -1
+  std::vector<char> column_seen_;   // columns visited by one search
+  std::vector<int> kuhn_row_;       // search stack: row per depth
+  std::vector<int> kuhn_next_;      // search stack: next column
+
+  // --- Coupler demand: direct router and peel (CSR coupler queues) ---
+  std::vector<int> coupler_count_;      // packets per coupler
+  std::vector<int> coupler_of_source_;  // coupler of each source
+  std::vector<int> coupler_offset_;     // prefix sums, coupler_count()+1
+  std::vector<int> coupler_queue_;      // sources bucketed by coupler
   int direct_max_demand_ = 0;
   FlatSchedule direct_schedule_;
 

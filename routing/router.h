@@ -6,7 +6,12 @@
 //
 //   1. Build the d-regular bipartite multigraph H on the g source
 //      groups and g destination groups with one edge per packet, and
-//      properly edge-color it with d colors (Remark 1 / König).
+//      properly edge-color it with d colors (Remark 1 / König). The
+//      engine counts each packet's coupler in one pass, which the
+//      direct router and the portfolio read too. When d >= 3g it
+//      colors H through those counts, H's g x g multiplicity matrix,
+//      by peeling perfect matchings (Birkhoff-von Neumann); below
+//      that, by alternating-path edge inserts.
 //   2. Bundle the colors into ceil(d / g) batches of at most g colors.
 //      Each color class is a perfect matching of g packets, so the
 //      "fair distribution" comes straight from H's one coloring: every

@@ -116,20 +116,19 @@ void TrafficServer::prime_scratch() {
   router_.route(last_requests_);  // empty: the last plan becomes h = 0
 }
 
-void TrafficServer::submit(const Demand& demand) {
+SubmitStatus TrafficServer::submit(const Demand& demand) {
   MutexLock lock(&mu_);
+  const int n = topo_.processor_count();
+  if (demand.source < 0 || demand.source >= n || demand.destination < 0 ||
+      demand.destination >= n || demand.payload < 0) {
+    ++stats_.demands_rejected;
+    return SubmitStatus::kInvalid;
+  }
   submit_locked(demand);
+  return SubmitStatus::kOk;
 }
 
 void TrafficServer::submit_locked(const Demand& demand) {
-  const int n = topo_.processor_count();
-  POPS_CHECK(demand.source >= 0 && demand.source < n,
-             "TrafficServer::submit: source out of range");
-  POPS_CHECK(demand.destination >= 0 && demand.destination < n,
-             "TrafficServer::submit: destination out of range");
-  POPS_CHECK(demand.payload >= 0,
-             "TrafficServer::submit: negative payload");
-
   // Admission control keeps the open window a valid h-relation for
   // h = max_window_degree: close first when this demand would breach
   // the cap.

@@ -85,6 +85,15 @@ struct DelayHistogram {
   }
 };
 
+/// Outcome of TrafficServer::submit.
+enum class SubmitStatus {
+  /// The demand joined the open window.
+  kOk = 0,
+  /// Out-of-range source or destination, or a negative payload: the
+  /// demand was dropped and only ServerStats::demands_rejected moved.
+  kInvalid = 1,
+};
+
 struct ServerStats {
   long long windows_routed = 0;
   long long demands_routed = 0;
@@ -94,6 +103,8 @@ struct ServerStats {
   /// ...against the sum of per-window h-relation budgets
   /// (h * 2 * ceil(d/g)); the König path meets the budget exactly.
   long long budget_slots = 0;
+  /// Demands submit() turned away as kInvalid.
+  long long demands_rejected = 0;
   /// Largest window degree h closed so far.
   int max_window_degree = 0;
   /// Ticks from demand arrival to window execution.
@@ -131,8 +142,10 @@ class TrafficServer {
 
   /// Enqueues one demand into the open window, closing and executing
   /// the window first when the demand would breach the degree cap, and
-  /// after adding when the count cap is reached.
-  void submit(const Demand& demand) POPS_EXCLUDES(mu_);
+  /// after adding when the count cap is reached. A malformed demand
+  /// (endpoint outside the topology, negative payload) is rejected with
+  /// kInvalid and changes nothing but stats().demands_rejected.
+  SubmitStatus submit(const Demand& demand) POPS_EXCLUDES(mu_);
 
   /// Closes and executes the open window; a no-op when it is empty.
   void flush() POPS_EXCLUDES(mu_);
@@ -174,6 +187,7 @@ class TrafficServer {
  private:
   // The mutex is not recursive: public entry points lock once and call
   // only the *_locked / REQUIRES-annotated private layer below.
+  /// Admits a demand that submit() (or priming) already validated.
   void submit_locked(const Demand& demand) POPS_REQUIRES(mu_);
   void execute_window() POPS_REQUIRES(mu_);
   void prime_scratch() POPS_REQUIRES(mu_);

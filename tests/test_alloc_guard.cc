@@ -150,10 +150,12 @@ POPS_TEST(WarmPortfolioTakesEitherLazyBranchUnderBan) {
   // winner, so it sizes the arenas of both lazy branches whichever
   // candidate wins it. Warm on a direct winner, then route a Theorem 2
   // winner under a live external ban — and the reverse — on every
-  // fair-distribution path. Transpose spreads each group over
-  // distinct couplers (direct wins); vector reversal piles whole
-  // groups onto one coupler (Theorem 2 wins).
-  for (const auto& [d, g] : {std::pair{4, 4}, {8, 4}, {3, 8}, {16, 4}}) {
+  // fair-distribution path and on a shape that colors H by peeling
+  // (64, 4). Transpose spreads each group over distinct couplers
+  // (direct wins); vector reversal piles whole groups onto one coupler
+  // (Theorem 2 wins).
+  for (const auto& [d, g] :
+       {std::pair{4, 4}, {8, 4}, {3, 8}, {16, 4}, {64, 4}}) {
     const Topology topo(d, g);
     const Permutation direct_winner =
         make_pattern(topo, TrafficPattern::kTranspose);

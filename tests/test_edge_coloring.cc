@@ -1,6 +1,6 @@
-// Unit coverage for color_edges on random Delta-regular multigraphs
-// (validity + exactly Delta colors) and on degenerate shapes (Delta = 1,
-// n = 1, empty graph).
+// Unit coverage for EdgeColorer::color on random Delta-regular
+// multigraphs (validity + exactly Delta colors) and on degenerate
+// shapes (Delta = 1, n = 1, empty graph), and for EdgeColorer::spread.
 #include "graph/edge_coloring.h"
 #include "graph/validation.h"
 #include "support/prng.h"
@@ -14,12 +14,14 @@ using testing::random_regular;
 
 POPS_TEST(ColorsRegularGraphsWithDeltaColors) {
   Rng rng(21);
+  EdgeColorer colorer;
   for (const int n : {2, 5, 8, 16, 32}) {
     // 63..130 cross the 64-color word boundaries of the used-color
     // masks.
     for (const int degree : {1, 2, 3, 4, 7, 8, 13, 63, 64, 65, 128, 130}) {
       const BipartiteMultigraph g = random_regular(n, degree, rng);
-      const EdgeColoring coloring = color_edges(g);
+      EdgeColoring coloring;
+      colorer.color(g, ColoringAlgorithm::kAlternatingPath, coloring);
       EXPECT_EQ(coloring.num_colors, degree);
       EXPECT_TRUE(is_valid_edge_coloring(g, coloring));
     }
@@ -35,22 +37,27 @@ POPS_TEST(ColorsParallelCopiesOfAMatching) {
   for (int copy = 0; copy < 256; ++copy) {
     for (int v = 0; v < 8; ++v) g.add_edge(v, (v + 1) % 8);
   }
-  const EdgeColoring coloring = color_edges(g);
+  EdgeColorer colorer;
+  EdgeColoring coloring;
+  colorer.color(g, ColoringAlgorithm::kAlternatingPath, coloring);
   EXPECT_EQ(coloring.num_colors, 256);
   EXPECT_TRUE(is_valid_edge_coloring(g, coloring));
 }
 
 POPS_TEST(HandlesDegenerateShapes) {
+  EdgeColorer colorer;
   // Empty graph: zero colors.
   const BipartiteMultigraph empty(3, 4);
-  const EdgeColoring none = color_edges(empty);
+  EdgeColoring none;
+  colorer.color(empty, ColoringAlgorithm::kAlternatingPath, none);
   EXPECT_EQ(none.num_colors, 0);
   EXPECT_TRUE(is_valid_edge_coloring(empty, none));
 
   // n = 1 with Delta parallel edges: every edge its own color.
   BipartiteMultigraph bundle(1, 1);
   for (int k = 0; k < 5; ++k) bundle.add_edge(0, 0);
-  const EdgeColoring rainbow = color_edges(bundle);
+  EdgeColoring rainbow;
+  colorer.color(bundle, ColoringAlgorithm::kAlternatingPath, rainbow);
   EXPECT_EQ(rainbow.num_colors, 5);
   EXPECT_TRUE(is_valid_edge_coloring(bundle, rainbow));
 
@@ -58,7 +65,8 @@ POPS_TEST(HandlesDegenerateShapes) {
   BipartiteMultigraph matching(4, 4);
   matching.add_edge(0, 2);
   matching.add_edge(3, 1);
-  const EdgeColoring mono = color_edges(matching);
+  EdgeColoring mono;
+  colorer.color(matching, ColoringAlgorithm::kAlternatingPath, mono);
   EXPECT_EQ(mono.num_colors, 1);
   EXPECT_TRUE(is_valid_edge_coloring(matching, mono));
 }
@@ -66,13 +74,15 @@ POPS_TEST(HandlesDegenerateShapes) {
 POPS_TEST(ColorsIrregularGraphs) {
   // Irregular bipartite multigraphs still get exactly Delta colors.
   Rng rng(22);
+  EdgeColorer colorer;
   for (int trial = 0; trial < 10; ++trial) {
     BipartiteMultigraph g(6, 9);
     const int edges = 5 + rng.next_below(30);
     for (int e = 0; e < edges; ++e) {
       g.add_edge(rng.next_below(6), rng.next_below(9));
     }
-    const EdgeColoring coloring = color_edges(g);
+    EdgeColoring coloring;
+    colorer.color(g, ColoringAlgorithm::kAlternatingPath, coloring);
     EXPECT_EQ(coloring.num_colors, g.max_degree());
     EXPECT_TRUE(is_valid_edge_coloring(g, coloring));
   }
@@ -149,12 +159,14 @@ POPS_TEST(ValidationRejectsBrokenColorings) {
 
 POPS_TEST(SpreadColorsBalancesClassSizes) {
   Rng rng(23);
+  EdgeColorer colorer;
   // d-regular on g+g vertices spread onto g classes of exactly d edges
   // each — the router's fair-distribution shape (d < g).
   for (const auto& [n, degree] : {std::pair{8, 3}, {16, 5}, {9, 9}}) {
     const BipartiteMultigraph g = random_regular(n, degree, rng);
-    const EdgeColoring base = color_edges(g);
-    const EdgeColoring spread = spread_colors(g, base, n);
+    EdgeColoring spread;
+    colorer.color(g, ColoringAlgorithm::kAlternatingPath, spread);
+    colorer.spread(g, n, spread);
     EXPECT_EQ(spread.num_colors, n);
     EXPECT_TRUE(is_valid_edge_coloring(g, spread));
     std::vector<int> sizes(as_size(n), 0);
@@ -172,9 +184,11 @@ POPS_TEST(SpreadColorsHandlesMoreClassesThanEdges) {
   g.add_edge(0, 0);
   g.add_edge(0, 1);
   g.add_edge(1, 0);
-  const EdgeColoring base = color_edges(g);
-  EXPECT_EQ(base.num_colors, 2);
-  const EdgeColoring spread = spread_colors(g, base, 7);
+  EdgeColorer colorer;
+  EdgeColoring spread;
+  colorer.color(g, ColoringAlgorithm::kAlternatingPath, spread);
+  EXPECT_EQ(spread.num_colors, 2);
+  colorer.spread(g, 7, spread);
   EXPECT_EQ(spread.num_colors, 7);
   EXPECT_TRUE(is_valid_edge_coloring(g, spread));
   std::vector<int> sizes(as_size(7), 0);
@@ -185,7 +199,9 @@ POPS_TEST(SpreadColorsHandlesMoreClassesThanEdges) {
 
   // Degenerate corner: more classes than edges on an empty graph.
   const BipartiteMultigraph empty(2, 2);
-  const EdgeColoring none = spread_colors(empty, color_edges(empty), 3);
+  EdgeColoring none;
+  colorer.color(empty, ColoringAlgorithm::kAlternatingPath, none);
+  colorer.spread(empty, 3, none);
   EXPECT_EQ(none.num_colors, 3);
   EXPECT_TRUE(none.color.empty());
 }
@@ -193,8 +209,10 @@ POPS_TEST(SpreadColorsHandlesMoreClassesThanEdges) {
 POPS_TEST(SpreadColorsKeepsAlreadyBalancedColorings) {
   Rng rng(24);
   const BipartiteMultigraph g = random_regular(8, 8, rng);
-  const EdgeColoring base = color_edges(g);
-  const EdgeColoring spread = spread_colors(g, base, 8);
+  EdgeColorer colorer;
+  EdgeColoring spread;
+  colorer.color(g, ColoringAlgorithm::kAlternatingPath, spread);
+  colorer.spread(g, 8, spread);
   EXPECT_TRUE(is_valid_edge_coloring(g, spread));
   std::vector<int> sizes(as_size(8), 0);
   for (const int c : spread.color) ++sizes[as_size(c)];

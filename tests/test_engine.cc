@@ -72,6 +72,38 @@ std::string fair_distribution_violation(const Topology& topo,
   return "";
 }
 
+/// Routes pi with Theorem 2 and checks it the three ways every shape
+/// must pass: exactly theorem2_slots, an independent verify_schedule
+/// pass, and (d > 1) a fair distribution in every distribute slot.
+void expect_theorem2_holds(const Topology& topo, RoutingEngine& engine,
+                           const Permutation& pi) {
+  const FlatSchedule& flat = engine.route_permutation(pi);
+  EXPECT_EQ(flat.slot_count(), theorem2_slots(topo));
+  const VerificationResult vr = verify_schedule(topo, pi, flat);
+  EXPECT_TRUE(vr.ok);
+  EXPECT_EQ(vr.failure, "");
+  if (topo.d() == 1) return;
+  const std::string violation = fair_distribution_violation(
+      topo, pi, flat, engine.intermediate_of());
+  if (!violation.empty()) {
+    EXPECT_EQ(str_cat(topo.to_string(), ": ", violation), "");
+  }
+}
+
+/// The pattern families of the Theorem 2 sweeps, including a random
+/// permutation drawn from rng.
+std::vector<Permutation> sweep_cases(const Topology& topo, Rng& rng) {
+  const int d = topo.d();
+  const int g = topo.g();
+  std::vector<Permutation> cases;
+  cases.push_back(make_pattern(topo, TrafficPattern::kIdentity));
+  cases.push_back(make_pattern(topo, TrafficPattern::kGroupReversal));
+  cases.push_back(make_pattern(topo, TrafficPattern::kTranspose));
+  cases.push_back(Permutation::random(topo.processor_count(), rng));
+  cases.push_back(group_rotation(d, g, g > 1 ? 1 + d % (g - 1) : 0));
+  return cases;
+}
+
 POPS_TEST(EngineRoutesTheGridAtTheBound) {
   Rng rng(71);
   for (const int d : {1, 2, 3, 4, 8, 9}) {
@@ -104,30 +136,82 @@ POPS_TEST(EngineFairDistributionHoldsOnEveryShape) {
   // g mod d != 0 (chunked, then rebalanced by spread). This sweep hits
   // all three. d == 1 routes every packet
   // straight to its destination in one slot, so it only has to verify.
+  // H is colored by alternating paths below d = 3g and by peeling the
+  // coupler-demand matrix from there on; the second grid reaches
+  // d / g = 256, so the peel's matching repair runs many times per
+  // permutation on every pattern family.
   Rng rng(76);
   for (int d = 1; d <= 12; ++d) {
     for (int g = 1; g <= 24; ++g) {
       const Topology topo(d, g);
-      const int n = topo.processor_count();
-      std::vector<Permutation> cases;
-      cases.push_back(make_pattern(topo, TrafficPattern::kIdentity));
-      cases.push_back(make_pattern(topo, TrafficPattern::kGroupReversal));
-      cases.push_back(make_pattern(topo, TrafficPattern::kTranspose));
-      cases.push_back(Permutation::random(n, rng));
-      cases.push_back(group_rotation(d, g, g > 1 ? 1 + d % (g - 1) : 0));
+      RoutingEngine engine(topo);
+      for (const Permutation& pi : sweep_cases(topo, rng)) {
+        expect_theorem2_holds(topo, engine, pi);
+      }
+    }
+  }
+  for (const int d : {16, 32, 64, 256}) {
+    for (const int g : {1, 2, 3, 4, 8}) {
+      const Topology topo(d, g);
+      RoutingEngine engine(topo);
+      for (const Permutation& pi : sweep_cases(topo, rng)) {
+        expect_theorem2_holds(topo, engine, pi);
+      }
+    }
+  }
+}
+
+POPS_TEST(PeelColoringIsProperOnBothSidesOfTheThreshold) {
+  // Properness sweep of both H colorings up to d = 1024 and g = 16:
+  // per g, ratios d / g below the peel threshold (1, 2), at it (3) and
+  // above it, over every pattern family plus a random group-block
+  // permutation (Props 2/3 instances).
+  Rng rng(78);
+  for (const int g : {2, 3, 5, 8, 16}) {
+    for (const int ratio : {1, 2, 3, 4, 7, 64}) {
+      const int d = std::min(ratio * g, 1024);
+      const Topology topo(d, g);
+      std::vector<Permutation> cases = sweep_cases(topo, rng);
+      std::vector<Permutation> within;
+      for (int j = 0; j < g; ++j) within.push_back(Permutation::random(d, rng));
+      cases.push_back(group_block(d, g, Permutation::random(g, rng), within));
       RoutingEngine engine(topo);
       for (const Permutation& pi : cases) {
-        const FlatSchedule& flat = engine.route_permutation(pi);
-        EXPECT_EQ(flat.slot_count(), theorem2_slots(topo));
-        const VerificationResult vr = verify_schedule(topo, pi, flat);
-        EXPECT_TRUE(vr.ok);
-        EXPECT_EQ(vr.failure, "");
-        if (d == 1) continue;
-        const std::string violation = fair_distribution_violation(
-            topo, pi, flat, engine.intermediate_of());
-        if (!violation.empty()) {
-          EXPECT_EQ(str_cat(topo.to_string(), ": ", violation), "");
-        }
+        expect_theorem2_holds(topo, engine, pi);
+      }
+    }
+  }
+}
+
+POPS_TEST(PeelShapesRouteTheSameTheorem2PlanThroughEitherEntry) {
+  // On peel shapes route_permutation counts and buckets the coupler
+  // demand itself, while kBest reuses the buckets of its own counting
+  // pass. Both must feed the peel the same matrix: the Theorem 2
+  // branch of kBest is bitwise the route_permutation plan, on a warm
+  // engine whose last call took the direct branch.
+  Rng rng(79);
+  // g >= 3: with g <= 2, direct never needs more than 2 * ceil(d / g).
+  for (const auto& [d, g] : {std::pair{9, 3}, {64, 4}, {30, 5}, {256, 8},
+                             {48, 16}}) {
+    const Topology topo(d, g);
+    const int n = topo.processor_count();
+    RoutingEngine reference(topo);
+    RoutingEngine engine(topo);
+    const Permutation direct_winner =
+        make_pattern(topo, TrafficPattern::kTranspose);
+    std::vector<Permutation> theorem2_winners;
+    theorem2_winners.push_back(vector_reversal(n));
+    theorem2_winners.push_back(group_rotation(d, g, 1));
+    theorem2_winners.push_back(group_rotation(d, g, g - 1));
+    for (const Permutation& pi : theorem2_winners) {
+      engine.route(direct_winner, {RouteStrategy::kBest});
+      EXPECT_TRUE(engine.last_strategy() == RouteStrategy::kDirect);
+      const FlatSchedule& best = engine.route(pi, {RouteStrategy::kBest});
+      EXPECT_TRUE(engine.last_strategy() == RouteStrategy::kTheorem2);
+      const std::string difference = testing::schedule_difference(
+          best, reference.route_permutation(pi));
+      if (!difference.empty()) {
+        EXPECT_EQ(str_cat(topo.to_string(), ": ", difference), "");
       }
     }
   }
@@ -222,8 +306,8 @@ POPS_TEST(EngineSteadyStateNeverGrowsScratch) {
   // are generated before the ban: building a Permutation allocates by
   // design.
   Rng rng(74);
-  for (const auto& [d, g] :
-       {std::pair{1, 8}, {4, 4}, {8, 3}, {3, 8}, {4, 16}, {16, 16}}) {
+  for (const auto& [d, g] : {std::pair{1, 8}, {4, 4}, {8, 3}, {3, 8},
+                             {4, 16}, {16, 16}, {64, 4}}) {
     const Topology topo(d, g);
     const int n = topo.processor_count();
     RoutingEngine engine(topo);

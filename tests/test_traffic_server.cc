@@ -210,10 +210,40 @@ POPS_TEST(EveryWindowMatchesRouteHRelation) {
 }
 
 POPS_TEST(SubmitRejectsBadDemands) {
-  TrafficServer server(Topology(2, 2));
-  EXPECT_ABORTS(server.submit(make_demand(-1, 0)));
-  EXPECT_ABORTS(server.submit(make_demand(0, 4)));
-  EXPECT_ABORTS(server.submit(make_demand(0, 1, 0, -1)));
+  // A malformed demand gets kInvalid and leaves the server as it was:
+  // the open window, the clock and every counter but demands_rejected.
+  ServerConfig config;
+  config.max_window_degree = 1;
+  config.max_window_demands = 2;
+  TrafficServer server(Topology(2, 2), config);
+  EXPECT_TRUE(server.submit(make_demand(0, 1, 5)) == SubmitStatus::kOk);
+  const ServerStats before = server.stats();
+  const std::uint64_t clock = server.now();
+  long long rejected = 0;
+  // Each would close the degree-1, two-demand window if admitted.
+  for (const Demand& bad :
+       {make_demand(-1, 0), make_demand(0, 4), make_demand(4, 1),
+        make_demand(1, -1), make_demand(0, 1, 0, -1)}) {
+    EXPECT_TRUE(server.submit(bad) == SubmitStatus::kInvalid);
+    ++rejected;
+    const ServerStats after = server.stats();
+    EXPECT_EQ(after.demands_rejected, before.demands_rejected + rejected);
+    EXPECT_EQ(after.windows_routed, before.windows_routed);
+    EXPECT_EQ(after.demands_routed, before.demands_routed);
+    EXPECT_EQ(after.payload_flits_delivered,
+              before.payload_flits_delivered);
+    EXPECT_EQ(after.slots_executed, before.slots_executed);
+    EXPECT_EQ(after.budget_slots, before.budget_slots);
+    EXPECT_EQ(after.max_window_degree, before.max_window_degree);
+    EXPECT_EQ(after.queueing_delay.count, before.queueing_delay.count);
+    EXPECT_EQ(server.now(), clock);
+    EXPECT_EQ(server.pending_demands(), 1);
+    EXPECT_EQ(server.pending_degree(), 1);
+  }
+  // The window still closes on the next valid demand's admission.
+  EXPECT_TRUE(server.submit(make_demand(0, 1)) == SubmitStatus::kOk);
+  EXPECT_EQ(server.stats().windows_routed, before.windows_routed + 1);
+  EXPECT_EQ(server.stats().demands_rejected, rejected);
 }
 
 POPS_TEST(ServerRejectsBadConfig) {
